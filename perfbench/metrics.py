@@ -1,6 +1,10 @@
 """Metric definitions: end-to-end figures from passes, per-layer from a trace.
 
-Every workload emits every metric of ``BENCHMARK.json``; a layer a
+Every run emits every metric ``BENCHMARK.json`` declares for its mode.
+The job metrics (``jobs_per_s``, ``job_p50_ms``, ``job_p90_ms``) describe
+``service_mix``, whose jobs overlap.  On the other two workloads a job is
+the whole pass, so there they restate :func:`pass_wall` exactly: they can
+neither move apart from ``wall_s`` nor add noise of their own.  A layer a
 workload does not exercise reads 0 in the traced output.
 """
 
@@ -10,15 +14,9 @@ import resource
 import statistics
 from typing import Any
 
+from repro.experiments import RUNNERS
+from repro.fast.profiling import PHASES
 from tracing import KERNEL_FAMILIES, LAYERS, layer_self_times, summarize
-
-#: Study ids of the quick reproduction, in runner order.
-STUDY_IDS = (
-    "E1", "E2", "E3", "E4", "E4b", "E5", "E6", "E7",
-    "E8", "E9", "E10", "E11", "E12", "E13", "E14",
-)
-
-PHASES = ("draw", "match", "move", "bookkeep", "compact")
 
 
 def peak_rss_mb() -> float:
@@ -26,21 +24,6 @@ def peak_rss_mb() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return max(own, children) / 1024.0
-
-
-def job_latencies(passes) -> list[float]:
-    """The latency samples of a run.
-
-    Where a pass runs its jobs one after another, every pass runs the same
-    jobs, and a job's sample is its median latency across the passes, so
-    a slow stretch of the machine that hits one job in one pass does not
-    count.  Where jobs overlap (the two service clients), which client
-    runs which job differs from pass to pass, so every job of every pass
-    is a sample.
-    """
-    if passes[0].steps is None:
-        return [x for p in passes for x in p.latencies]
-    return [statistics.median(runs) for runs in zip(*(p.latencies for p in passes))]
 
 
 def pass_wall(passes) -> float:
@@ -59,21 +42,24 @@ def end_to_end(passes, setup_samples: list[float], rss_mb: float) -> dict[str, t
     """The end-to-end metrics of a run.
 
     Every pass does the same work, so throughput is that work over
-    :func:`pass_wall`.
+    :func:`pass_wall`.  Where a pass is a set of overlapping jobs, which
+    client runs which job differs from pass to pass, so every job of
+    every pass is a latency sample; elsewhere the one job is the pass.
     """
-    latencies = job_latencies(passes)
-    p90 = (
-        statistics.quantiles(latencies, n=10, method="inclusive")[8]
-        if len(latencies) > 1
-        else latencies[0]
-    )
     wall = pass_wall(passes)
+    latencies = [x for p in passes for x in p.latencies]
+    if latencies:
+        jobs = len(passes[0].latencies)
+        p50 = statistics.median(latencies)
+        p90 = statistics.quantiles(latencies, n=10, method="inclusive")[8]
+    else:
+        jobs, p50, p90 = 1, wall, wall
     return {
         "wall_s": (wall, "s"),
         "setup_s": (statistics.median(setup_samples), "s"),
         "trials_per_s": (statistics.median(p.trials for p in passes) / wall, "trials/s"),
-        "jobs_per_s": (len(passes[0].latencies) / wall, "jobs/s"),
-        "job_p50_ms": (1000.0 * statistics.median(latencies), "ms"),
+        "jobs_per_s": (jobs / wall, "jobs/s"),
+        "job_p50_ms": (1000.0 * p50, "ms"),
         "job_p90_ms": (1000.0 * p90, "ms"),
         "peak_rss_mb": (rss_mb, "MiB"),
     }
@@ -109,7 +95,7 @@ def per_layer(
     """
     summary = summarize(spans)
     m: dict[str, tuple[float, str]] = {}
-    for eid in STUDY_IDS:
+    for eid in RUNNERS:
         m[f"study.{eid}_s"] = (summary.get(f"experiments|{eid}", {}).get("s", 0.0), "s")
     m["render.s"] = (_sum(summary, "render"), "s")
     m["baseline.polya_s"] = (_sum(summary, "run_batch", "baseline:polya"), "s")

@@ -2,13 +2,13 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload reproduce_quick --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload reproduce_quick --seed 0 --seconds 30 --trace 0
 
 Workloads: ``reproduce_quick``, ``kernel_sweep``, ``service_mix`` (see
 ``workloads.py`` and ``README.md``).  A run pins every ``REPRO_*`` knob,
-sets up, repeats the workload's fixed pass until ``--seconds`` have
-passed (at least three times), checks the outputs, and prints one line per
-metric followed by a final JSON line::
+sets up, repeats the workload's fixed pass while one more fits in
+``--seconds`` (at least three times), checks the outputs, and prints one
+line per metric followed by a final JSON line::
 
     {"correct": true, "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -87,12 +87,15 @@ def provenance(seed: int, pinned: dict[str, str]) -> dict:
 
 
 def measure(run_pass, seconds: float) -> list:
-    """Passes until ``seconds`` have gone by, and at least :data:`MIN_PASSES`."""
+    """Passes while one more, at the mean pass time so far, ends within
+    ``seconds``; and at least :data:`MIN_PASSES`."""
     passes = []
     start = time.perf_counter()
-    while len(passes) < MIN_PASSES or time.perf_counter() - start < seconds:
+    while True:
         passes.append(run_pass())
-    return passes
+        elapsed = time.perf_counter() - start
+        if len(passes) >= MIN_PASSES and elapsed * (len(passes) + 1) / len(passes) > seconds:
+            return passes
 
 
 def setup_times(workload: str, samples: int) -> list[float]:
@@ -262,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     failed = sum(p.failed for p in passes)
     for name, ok in outcome["checks"]:
         print(f"check: {'ok' if ok else 'FAILED'}: {name}")
-    print(f"passes: {len(passes)}, jobs per pass: {len(passes[0].latencies)}")
+    samples = sum(len(p.latencies) for p in passes)
+    print(f"passes: {len(passes)}, job latency samples: {samples}")
     for name, (value, unit) in outcome["metrics"].items():
         print(f"{name} = {value} {unit}")
     print(f"failed_ratio = {failed / attempted if attempted else 0.0} ratio ({failed}/{attempted})")

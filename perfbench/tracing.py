@@ -168,7 +168,7 @@ class Tracer:
 
     def _patch_run_batch(self, scheduler_mod) -> None:
         from repro.api.registry import REGISTRY
-        from repro.api.runner import default_batch_chunk
+        from repro.api.runner import default_batch_chunk, resolve_backend
         from repro.fast.backends import resolve_backend as kernel_backend
 
         original = scheduler_mod.run_batch
@@ -176,14 +176,20 @@ class Tracer:
 
         @functools.wraps(original)
         def traced_run_batch(scenarios, *args, **kwargs):
+            # The scheduler calls run_batch once per cell, and a cell's
+            # scenarios differ only in seed and trial index, so the first
+            # one resolves (and batches) as every other does.  The
+            # scheduler already passes the resolved backend (its cells
+            # are resolved when it expands the study); resolving again
+            # keeps the label right for an "auto" request from any caller.
             scenarios = list(scenarios)
             first = scenarios[0]
-            backend = kwargs.get("backend", args[1] if len(args) > 1 else "auto")
-            label = run_batch_label(first, backend, kernel_backend)
+            requested = kwargs.get("backend", args[1] if len(args) > 1 else "auto")
+            resolved = resolve_backend(first, requested)
+            label = run_batch_label(first, resolved, kernel_backend)
             with self.span("run_batch", label) as record:
                 record["count"] = len(scenarios)
-                entry = REGISTRY.get(first.algorithm)
-                if backend == "fast" and entry.supports_batch(first):
+                if resolved == "fast" and REGISTRY.get(first.algorithm).supports_batch(first):
                     chunk = kwargs.get("batch_chunk") or default_batch_chunk(first.n)
                     record["chunks"] = -(-len(scenarios) // chunk)
                 else:
@@ -220,20 +226,21 @@ class Tracer:
             )
 
 
-def run_batch_label(scenario, backend: str, kernel_backend) -> str:
+def run_batch_label(scenario, resolved: str, kernel_backend) -> str:
     """``<class>:<algorithm>[/<kernel backend>]`` for one ``run_batch`` call.
 
-    The class separates baselines, agent-engine cells, measurement
-    processes and batch kernels; perturbed simple-family cells run the
-    general driver over the kernel-backend seam, so they get their own
-    family name.
+    ``resolved`` is the engine the call runs on, ``"agent"`` or ``"fast"``
+    as :func:`repro.api.runner.resolve_backend` gives it.  The class
+    separates baselines, agent-engine cells, measurement processes and
+    batch kernels; perturbed simple-family cells run the general driver
+    over the kernel-backend seam, so they get their own family name.
     """
     algorithm = scenario.algorithm
     if algorithm in BASELINES:
         return f"baseline:{algorithm}"
     if algorithm in PROCESSES:
         return f"processes:{algorithm}"
-    if backend == "agent":
+    if resolved == "agent":
         return f"agent:{algorithm}"
     family = algorithm
     if scenario.fault_plan is not None or scenario.delay_model is not None:

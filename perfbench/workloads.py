@@ -39,19 +39,20 @@ class Pass:
     """What one pass of a workload did and how long it took."""
 
     wall_s: float
-    #: Per-job latencies in seconds (a job is one study a user waits for).
-    latencies: list[float]
     trials: int
     attempted: int
     failed: int
     #: Workload-specific outputs for the correctness checks.
     outputs: Any = None
-    #: Per-layer counters gathered outside the tracer (service stats).
-    extra: dict[str, Any] = field(default_factory=dict)
     #: Seconds of each step of a pass whose steps run one after another
     #: (a study of the reproduction, a cell of the sweep); ``None`` where
     #: jobs overlap.
     steps: list[float] | None = None
+    #: Latency in seconds of each of the overlapping jobs of a pass (a job
+    #: is one study a service client waits for); empty elsewhere.
+    latencies: list[float] = field(default_factory=list)
+    #: Per-layer counters gathered outside the tracer (service stats).
+    extra: dict[str, Any] = field(default_factory=dict)
 
 
 def _span(tracer, layer: str, label: str):
@@ -93,8 +94,12 @@ def _fold_counts(results) -> tuple[int, int, int]:
 
 # -- reproduce_quick ---------------------------------------------------------
 
-#: Runners of the tiny self-test size (the three fastest quick studies).
-TINY_RUNNERS = ("E3", "E6", "E13")
+#: Runners of the tiny self-test size, also run once before timing to warm
+#: lazy imports.  Cheap quick studies that between them reach every layer
+#: class but the Pólya urns (E14 alone takes seconds): the rumor baseline
+#: (E1), a measurement process (E2), batch kernels (E3, E6, E13) and the
+#: agent engine under ``backend="auto"`` (E10).
+TINY_RUNNERS = ("E1", "E2", "E3", "E6", "E10", "E13")
 
 
 #: Base seed of every reproduction: the one the committed tables were made
@@ -120,19 +125,19 @@ def reproduce_pass(order: list[str], tracer=None) -> Pass:
     from repro.experiments import RUNNERS
 
     rendered: dict[str, str] = {}
-    latencies: list[float] = []
+    steps: list[float] = []
     with observed_folds() as folds:
         start = time.perf_counter()
         for eid in order:
-            job_start = time.perf_counter()
+            step_start = time.perf_counter()
             with _span(tracer, "experiments", eid):
                 table = RUNNERS[eid](quick=True, base_seed=BASE_SEED)
             with _span(tracer, "render", eid):
                 rendered[eid] = table.render() + "\n"
-            latencies.append(time.perf_counter() - job_start)
+            steps.append(time.perf_counter() - step_start)
         wall = time.perf_counter() - start
     attempted, failed, trials = _fold_counts(folds)
-    return Pass(wall, latencies, trials, attempted, failed, rendered, steps=latencies)
+    return Pass(wall, trials, attempted, failed, rendered, steps=steps)
 
 
 def check_reproduce(passes: list[Pass]) -> list[tuple[str, bool]]:
@@ -160,10 +165,12 @@ SWEEP_WORKERS = 2
 def kernel_study(seed: int, tiny: bool):
     """The six-cell large-n study; each cell's scenario seed comes from ``seed``.
 
-    Five cells run 8 trials each and fit one chunk, so they run in the
-    parent even with a pool; the sixth runs 256 trials in 64-trial chunks,
-    which go to the pool.  (16 and 512 trials made a run last about 50 s
-    on a 2-CPU box; halving them keeps three passes affordable.)
+    Five cells run 16 trials each and fit one chunk, so they run in the
+    parent even with a pool; the sixth runs 512 trials in 64-trial chunks,
+    which go to the pool.  A batch kernel's work is the sum of its trials'
+    rounds, which the cell seeds move (the quorum cell's median ranged
+    from about 2000 to 3200 rounds over five seeds at 8 trials), so fewer
+    trials made the work, not just the machine, differ from seed to seed.
     """
     from repro.api import Study, Sweep, cases, nests_spec
 
@@ -190,7 +197,7 @@ def kernel_study(seed: int, tiny: bool):
             "cell": "simple many trials",
             "algorithm": "simple",
             "n": 4096,
-            "trials": 128 if tiny else 256,
+            "trials": 128 if tiny else 512,
         },
     ]
     for row in rows:
@@ -202,7 +209,7 @@ def kernel_study(seed: int, tiny: bool):
             base={"nests": nests_spec("all_good", k=8), "max_rounds": 100_000},
             axes=(cases(*rows),),
         ),
-        trials=4 if tiny else 8,
+        trials=4 if tiny else 16,
     )
 
 
@@ -227,7 +234,7 @@ def sweep_pass(study, workers: int, pool=None) -> Pass:
         result = fold_study_result(study, cells, cached=False)
     wall = time.perf_counter() - start
     attempted, failed, trials = _fold_counts([result])
-    return Pass(wall, [wall], trials, attempted, failed, result.table, steps=steps)
+    return Pass(wall, trials, attempted, failed, result.table, steps=steps)
 
 
 def warm_pool(workers: int):
@@ -469,11 +476,11 @@ def service_pass(jobs: list, workdir: Path, tracer=None, trace_path: Path | None
     latencies = [latency for _, latency, _ in records]
     return Pass(
         wall,
-        latencies,
         trials,
         attempted=len(jobs),
         failed=failed,
         outputs=tables,
+        latencies=latencies,
         extra={
             "setup_s": daemon.setup_s,
             "stats": stats,
