@@ -27,15 +27,25 @@ def peak_rss_mb() -> float:
 
 
 def pass_wall(passes) -> float:
-    """Wall time of one pass, robust to a slow stretch of the machine.
+    """Wall time of one pass, robust to slow stretches of the machine.
 
-    Where a pass is a sequence of steps (studies, cells), it is the sum
-    over steps of each step's median time across the passes; otherwise
-    the median pass wall time.
+    Where a pass is a sequence of steps (trials, cells and the rest of
+    each study; see ``workloads.StepClock``), it is the sum over steps of
+    each step's fastest time across the passes; otherwise the median pass
+    wall time.  The fastest, not the median: on a shared host a CPU runs
+    at full speed or at down to half of it as its neighbours load the
+    core, switching every few milliseconds in calm spells and staying slow
+    for a minute in busy ones.  Every pass does the same deterministic
+    work, so a step's fastest time is the program's own time for it (the
+    ``timeit`` convention); steps of milliseconds find full speed in some
+    pass even when whole passes never run at it.  On one 2-CPU host the
+    sum of per-step minima over windows of three passes spread 0.08
+    (IQR/median), against 0.10 for the median pass wall time; over five
+    passes 0.02 against 0.08.
     """
     if passes[0].steps is None:
         return statistics.median(p.wall_s for p in passes)
-    return sum(statistics.median(runs) for runs in zip(*(p.steps for p in passes)))
+    return sum(min(runs) for runs in zip(*(p.steps for p in passes), strict=True))
 
 
 def end_to_end(passes, setup_samples: list[float], rss_mb: float) -> dict[str, tuple[float, str]]:

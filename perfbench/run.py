@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload reproduce_quick --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload reproduce_quick --seed 0 --seconds 35 --trace 0
 
 Workloads: ``reproduce_quick``, ``kernel_sweep``, ``service_mix`` (see
 ``workloads.py`` and ``README.md``).  A run pins every ``REPRO_*`` knob,
@@ -37,7 +37,8 @@ BUILD = ROOT / ".bench_build"
 WORKLOADS = ("reproduce_quick", "kernel_sweep", "service_mix")
 
 #: Passes per run at the least, however long one pass takes: with three,
-#: a per-job median drops one pass caught in a slow stretch of the machine.
+#: each step has three times to take the fastest of, and a per-job median
+#: drops one pass caught in a slow stretch of the machine.
 MIN_PASSES = 3
 
 #: Set-up measurements per run (the reported set-up time is their median).
@@ -88,7 +89,8 @@ def provenance(seed: int, pinned: dict[str, str]) -> dict:
 
 def measure(run_pass, seconds: float) -> list:
     """Passes while one more, at the mean pass time so far, ends within
-    ``seconds``; and at least :data:`MIN_PASSES`."""
+    ``seconds``, and at least :data:`MIN_PASSES`: the run measures for
+    ``seconds`` unless three passes take longer."""
     passes = []
     start = time.perf_counter()
     while True:
@@ -113,8 +115,11 @@ def run_reproduce(args) -> dict:
     from tracing import Tracer
 
     order = w.runner_order(args.seed, args.tiny)
-    w.reproduce_pass(w.TINY_RUNNERS)  # warm lazy imports, not measured
     if args.trace:
+        # Warm lazy imports, so the untraced pass is as warm as the traced
+        # one.  A measured run needs no warm-up: the fastest time of each
+        # step across its passes leaves the first, cold one out.
+        w.reproduce_pass(w.TINY_RUNNERS)
         untraced = w.reproduce_pass(order)
         tracer = Tracer()
         with tracer.installed():

@@ -45,8 +45,8 @@ class Pass:
     #: Workload-specific outputs for the correctness checks.
     outputs: Any = None
     #: Seconds of each step of a pass whose steps run one after another
-    #: (a study of the reproduction, a cell of the sweep); ``None`` where
-    #: jobs overlap.
+    #: (a trial, a cell or a study's remainder in the reproduction; a cell
+    #: of the sweep); ``None`` where jobs overlap.
     steps: list[float] | None = None
     #: Latency in seconds of each of the overlapping jobs of a pass (a job
     #: is one study a service client waits for); empty elsewhere.
@@ -85,6 +85,63 @@ def observed_folds():
         scheduler_mod.fold_study_result = original
 
 
+class StepClock:
+    """Splits a pass into short steps that add up to its wall time.
+
+    A step is a clocked block's own seconds: its wall time less the
+    steps recorded inside it.  :func:`clocked_calls` makes every cell
+    (the scheduler's ``run_batch`` call) and every scenario a cell runs
+    on its own (``repro.api.runner.run``: a Pólya urn or agent-engine
+    trial of a few to a hundred milliseconds) a block, and the caller
+    wraps each study in one; a batch-kernel chunk stays inside its
+    cell's step.  Every pass of a run makes the same calls in the same
+    order, so step ``i`` is the same work in every pass.
+    """
+
+    def __init__(self) -> None:
+        self.steps: list[float] = []
+        self._total = 0.0
+
+    @contextmanager
+    def block(self):
+        inner = self._total
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            own = time.perf_counter() - start - (self._total - inner)
+            self.steps.append(own)
+            self._total += own
+
+    def wrap(self, function):
+        def clocked(*args, **kwargs):
+            with self.block():
+                return function(*args, **kwargs)
+
+        return clocked
+
+
+@contextmanager
+def clocked_calls(clock: StepClock):
+    """Clock every ``run_batch`` call of the scheduler and every single
+    scenario ``run_batch`` runs, in traced and untraced passes alike.
+
+    Two clock reads per call, against a few milliseconds or more of work.
+    """
+    import repro.api.runner as runner_mod
+    import repro.api.scheduler as scheduler_mod
+
+    patched = [(scheduler_mod, "run_batch"), (runner_mod, "run")]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    for (owner, attr), original in zip(patched, originals):
+        setattr(owner, attr, clock.wrap(original))
+    try:
+        yield clock
+    finally:
+        for (owner, attr), original in zip(patched, originals):
+            setattr(owner, attr, original)
+
+
 def _fold_counts(results) -> tuple[int, int, int]:
     attempted = sum(len(r.cells) for r in results)
     failed = sum(len(r.quarantined) + len(r.degraded) for r in results)
@@ -94,8 +151,8 @@ def _fold_counts(results) -> tuple[int, int, int]:
 
 # -- reproduce_quick ---------------------------------------------------------
 
-#: Runners of the tiny self-test size, also run once before timing to warm
-#: lazy imports.  Cheap quick studies that between them reach every layer
+#: Runners of the tiny self-test size, also run once before a traced run to
+#: warm lazy imports.  Cheap quick studies that between them reach every layer
 #: class but the Pólya urns (E14 alone takes seconds): the rumor baseline
 #: (E1), a measurement process (E2), batch kernels (E3, E6, E13) and the
 #: agent engine under ``backend="auto"`` (E10).
@@ -125,19 +182,19 @@ def reproduce_pass(order: list[str], tracer=None) -> Pass:
     from repro.experiments import RUNNERS
 
     rendered: dict[str, str] = {}
-    steps: list[float] = []
-    with observed_folds() as folds:
+    with observed_folds() as folds, clocked_calls(StepClock()) as clock:
         start = time.perf_counter()
         for eid in order:
-            step_start = time.perf_counter()
-            with _span(tracer, "experiments", eid):
-                table = RUNNERS[eid](quick=True, base_seed=BASE_SEED)
-            with _span(tracer, "render", eid):
-                rendered[eid] = table.render() + "\n"
-            steps.append(time.perf_counter() - step_start)
+            # The study's trials and cells, then the rest of it
+            # (expansion, folds, table building, rendering) as one step.
+            with clock.block():
+                with _span(tracer, "experiments", eid):
+                    table = RUNNERS[eid](quick=True, base_seed=BASE_SEED)
+                with _span(tracer, "render", eid):
+                    rendered[eid] = table.render() + "\n"
         wall = time.perf_counter() - start
     attempted, failed, trials = _fold_counts(folds)
-    return Pass(wall, trials, attempted, failed, rendered, steps=steps)
+    return Pass(wall, trials, attempted, failed, rendered, steps=clock.steps)
 
 
 def check_reproduce(passes: list[Pass]) -> list[tuple[str, bool]]:
