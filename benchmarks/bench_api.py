@@ -8,7 +8,7 @@ regression baseline for ``tools/check_bench_regression.py``).
 
 Since PR 2 the homogeneous trial sweep dispatches to the trial-parallel
 batch engine, so this measures the default end-to-end API experience; the
-engine-level v1-vs-batch comparison lives in ``bench_batch.py``.
+engine-level batch rows (per backend, chunked) live in ``bench_batch.py``.
 
 Run with::
 

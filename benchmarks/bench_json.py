@@ -19,8 +19,9 @@ Each file looks like::
 Only ``metrics`` entries are compared; ``config``/``profile`` changes make
 the checker skip the comparison instead of producing nonsense ratios, and
 absolute throughput metrics (``*_per_sec``) are compared only when the
-``machine`` fingerprint matches — ratios like ``batch_speedup_vs_v1`` are
-machine-portable and are always checked.
+``machine`` fingerprint matches — ratios of two sides measured in one
+session (e.g. ``warm_dedupe_ratio``) are machine-portable and are
+always checked.
 """
 
 from __future__ import annotations

@@ -78,19 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --trials > 1 (default: $REPRO_WORKERS or 1)",
     )
     parser.add_argument(
-        "--matcher",
-        choices=("v1", "v2"),
-        help="Algorithm 1 draw schedule for the fast engine: 'v2' (default) "
-        "is the batched data-independent schedule, 'v1' the sequential-scan "
-        "reference (shorthand for --param matcher=...)",
-    )
-    parser.add_argument(
         "--batch-chunk",
         type=int,
         default=None,
         metavar="B",
         help="trials per batch-kernel invocation for homogeneous sweeps "
-        "(default: runner's DEFAULT_BATCH_CHUNK; results never depend on it)",
+        "(default: the size-aware default_batch_chunk(n); results never "
+        "depend on it)",
     )
     parser.add_argument(
         "--param",
@@ -349,8 +343,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         params = _parse_params(args.param)
-        if args.matcher is not None:
-            params["matcher"] = args.matcher
         scenario = Scenario(
             algorithm=args.algorithm,
             n=args.n,

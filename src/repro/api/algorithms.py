@@ -4,22 +4,22 @@ Registers the paper's algorithms (Algorithm 2 "optimal", Algorithm 3
 "simple"), the lower-bound information-spreading process, all four
 baselines (quorum sensing, the uniform-rate ablation, rumor spreading, the
 Pólya urn) and the Section 6 extension variants.  Each entry supplies an
-agent-engine builder and/or a vectorized kernel and declares, feature tag
+agent-engine builder and/or one fast entry point and declares, feature tag
 by feature tag (``fast_features``), which scenario dimensions that kernel
 honors — the simple family covers the full perturbation surface (fault
 plans, every noise kind, delay models), while structural limits beyond
-tags (the spread process's hard-coded good nest, v1-matcher-only
-restrictions) live in small ``fast_supports`` predicates.  That is exactly
-the information ``backend="auto"`` dispatch and its recorded fallback
-reasons need.
+tags (the spread process's hard-coded good nest) live in small
+``fast_supports`` predicates.  That is exactly the information
+``backend="auto"`` dispatch and its recorded fallback reasons need.
 
-Fast kernels accept a ``matcher`` param ("v2" default, "v1" for the
-sequential-scan reference schedule — see docs/PERFORMANCE.md); under v2
-the single-trial kernel is literally a batch of one, so
-:func:`repro.api.run_batch`'s trial-parallel dispatch (the ``batch_kernel``
-entries here) is bit-identical to running each trial alone.  ``quorum``
-and ``uniform`` gained fast kernels with the batch engine, so the E8
-comparison sweep no longer falls back to the agent engine.
+Every algorithm with a vectorized kernel registers it as a ``batch_kernel``
+over :mod:`repro.fast.batch` (v2 matcher schedule); :func:`repro.api.run`
+runs a single fast scenario as a batch of one, so
+:func:`repro.api.run_batch`'s trial-parallel dispatch is bit-identical to
+running each trial alone.  Only ``rumor`` and ``polya``, which have no
+batch form, register a per-trial ``fast_kernel``.  The agent engine runs
+the literal v1 matcher and is the reference the batch kernels are tested
+against.
 
 Adding a protocol variant is one ``REGISTRY.register(...)`` call.
 """
@@ -42,9 +42,7 @@ from repro.api.registry import (
     REGISTRY,
     criterion_factory,
     criterion_feature,
-    scenario_features,
     scenario_kernel_backend,
-    scenario_matcher,
 )
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
@@ -72,9 +70,7 @@ from repro.fast.batch import (
     simulate_simple_batch,
     simulate_spread_batch,
 )
-from repro.fast.optimal_fast import simulate_optimal
-from repro.fast.simple_fast import simulate_simple
-from repro.fast.spread_fast import SpreadResult, simulate_spread
+from repro.fast.results import SpreadResult
 from repro.sim.rng import RandomSource
 
 
@@ -96,22 +92,38 @@ def _sources(scenarios: Sequence[Scenario]) -> list[RandomSource]:
     return [scenario.source() for scenario in scenarios]
 
 
-def _fast_extras(matcher: str, kernel_backend: str | None = None) -> dict:
+def _fast_extras(kernel_backend: str | None = None) -> dict:
     """Engine detail recorded on every fast-path report.
 
-    Both the single-trial path and the batch path attach exactly this, so
-    their reports compare equal field-for-field.  Only an *explicit*
-    ``kernel_backend`` pin appears (it is scenario identity); an
-    environment-selected backend is digest-transparent and unrecorded.
+    Only an *explicit* ``kernel_backend`` pin appears (it is scenario
+    identity); an environment-selected backend is digest-transparent and
+    unrecorded.
     """
-    extras = {"matcher": matcher}
+    extras = {"matcher": "v2"}
     if kernel_backend is not None:
         extras["kernel_backend"] = kernel_backend
     return extras
 
 
-#: Feature tags the simple-family kernels (simple/adaptive/uniform) honor
-#: under the v2 schedule — the full perturbation surface.
+def _reject_pin(scenario: Scenario) -> None:
+    """Agent builders of pin-accepting algorithms refuse any pin.
+
+    A ``kernel_backend`` pin names a realization of the batch kernels; the
+    agent engine has no backend seam, so running a pinned scenario there
+    (explicitly, or as an ``auto`` fallback) is a configuration error, not
+    a silent no-op.
+    """
+    pin = scenario_kernel_backend(scenario)
+    if pin is not None:
+        raise ConfigurationError(
+            f"kernel_backend={pin!r} pins a batch-kernel realization, but "
+            f"this {scenario.algorithm!r} scenario runs on the agent engine; "
+            "drop the pin or use a scenario the fast engine covers"
+        )
+
+
+#: Feature tags the simple-family kernels (simple/adaptive/uniform) honor —
+#: the full perturbation surface.
 SIMPLE_FAST_FEATURES = frozenset(
     {
         FEATURE_NOISE_COUNT,
@@ -126,76 +138,13 @@ SIMPLE_FAST_FEATURES = frozenset(
     }
 )
 
-#: The subset the sequential v1 reference kernel still covers.
-_SIMPLE_V1_FEATURES = frozenset(
-    {FEATURE_NOISE_COUNT, FEATURE_RECORD_HISTORY, criterion_feature("good")}
-)
 
+def _batch_adapter(batch_kernel, kernel_kwargs):
+    """The registry batch kernel over one :mod:`repro.fast.batch` kernel.
 
-def _simple_structure(scenario: Scenario) -> bool:
-    """v1-matcher requests drop back to the pre-perturbation feature set."""
-    # Validate the backend pin as eagerly as the matcher param: a bad pin
-    # (unknown name, or pin+v1) must raise even when the run would fall
-    # back to the agent engine, where the pin would otherwise be silently
-    # ignored — a pinned scenario that never touches the batch kernels is
-    # a configuration error, not a no-op.
-    scenario_kernel_backend(scenario)
-    if scenario_matcher(scenario) == "v1":
-        return scenario_features(scenario) <= _SIMPLE_V1_FEATURES
-    return True
-
-
-def _kernel_pair(single_kernel, batch_kernel, kernel_kwargs):
-    """Build the (fast_kernel, batch_kernel) adapter pair for one algorithm.
-
-    Both adapters share one contract: ``kernel_kwargs(scenario)`` validates
-    the params and returns the kernel keyword arguments; the single-trial
-    v2 path is literally a batch of one, so the two adapters cannot drift
-    apart; ``matcher="v1"`` routes to the sequential single-trial kernel
-    (which rejects the batch-only perturbation layers).
+    ``kernel_kwargs(scenario)`` validates the params and returns the
+    kernel keyword arguments.
     """
-
-    def fast(scenario: Scenario, source: RandomSource) -> RunReport:
-        kwargs = kernel_kwargs(scenario)
-        matcher = scenario_matcher(scenario)
-        pin = kwargs.get("kernel_backend")
-        if matcher == "v1":
-            kwargs = dict(kwargs)
-            # Always None here: scenario_kernel_backend rejects pin+v1.
-            kwargs.pop("kernel_backend", None)
-            if kwargs.pop("criterion", None) not in (None, "good"):
-                raise ConfigurationError(
-                    f"the sequential v1 kernel for {scenario.algorithm!r} "
-                    "only evaluates the default 'good' criterion; use the "
-                    "v2 matcher schedule or backend='agent'"
-                )
-            for key in ("fault_plan", "delay_model"):
-                if kwargs.pop(key, None) is not None:
-                    raise ConfigurationError(
-                        f"the sequential v1 kernel for {scenario.algorithm!r} "
-                        f"does not support {key}; use the v2 matcher schedule "
-                        "or backend='agent'"
-                    )
-            result = single_kernel(
-                scenario.n,
-                scenario.nests,
-                seed=source,
-                max_rounds=scenario.max_rounds,
-                record_history=scenario.record_history,
-                **kwargs,
-            )
-        else:
-            result = batch_kernel(
-                scenario.n,
-                scenario.nests,
-                [source],
-                max_rounds=scenario.max_rounds,
-                record_history=scenario.record_history,
-                **kwargs,
-            )[0]
-        return RunReport.from_fast(
-            scenario, result, extras=_fast_extras(matcher, pin)
-        )
 
     def batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
         base = scenarios[0]
@@ -208,21 +157,21 @@ def _kernel_pair(single_kernel, batch_kernel, kernel_kwargs):
             record_history=base.record_history,
             **kwargs,
         )
-        extras = _fast_extras("v2", kwargs.get("kernel_backend"))
+        extras = _fast_extras(kwargs.get("kernel_backend"))
         return [
             RunReport.from_fast(scenario, result, extras=extras)
             for scenario, result in zip(scenarios, results)
         ]
 
-    return fast, batch
+    return batch
 
 
 # -- Algorithm 3 ("simple") and its rate-schedule variant --------------------
 
 
 def _simple_agent(scenario: Scenario):
-    params = _params(scenario, matcher=None, kernel_backend=None)
-    del params
+    _params(scenario, kernel_backend=None)
+    _reject_pin(scenario)
     return simple_factory(good_threshold=scenario.nests.good_threshold), None
 
 
@@ -238,19 +187,15 @@ def _perturbation_kwargs(scenario: Scenario) -> dict:
 
 
 def _simple_kwargs(scenario: Scenario) -> dict:
-    _params(scenario, matcher=None, kernel_backend=None)
+    _params(scenario, kernel_backend=None)
     return _perturbation_kwargs(scenario)
 
 
-_simple_fast, _simple_batch = _kernel_pair(
-    simulate_simple, simulate_simple_batch, _simple_kwargs
-)
+_simple_batch = _batch_adapter(simulate_simple_batch, _simple_kwargs)
 
 
 def _adaptive_schedule(scenario: Scenario):
-    params = _params(
-        scenario, k_initial=None, half_life=None, matcher=None, kernel_backend=None
-    )
+    params = _params(scenario, k_initial=None, half_life=None, kernel_backend=None)
     k_initial = float(
         params["k_initial"] if params["k_initial"] is not None else scenario.nests.k
     )
@@ -264,6 +209,7 @@ def _adaptive_schedule(scenario: Scenario):
 
 def _adaptive_agent(scenario: Scenario):
     k_initial, half_life = _adaptive_schedule(scenario)
+    _reject_pin(scenario)
     return (
         adaptive_factory(
             k_initial, half_life, good_threshold=scenario.nests.good_threshold
@@ -280,16 +226,14 @@ def _adaptive_kwargs(scenario: Scenario) -> dict:
     }
 
 
-_adaptive_fast, _adaptive_batch = _kernel_pair(
-    simulate_simple, simulate_simple_batch, _adaptive_kwargs
-)
+_adaptive_batch = _batch_adapter(simulate_simple_batch, _adaptive_kwargs)
 
 
 # -- Algorithm 2 ("optimal") -------------------------------------------------
 
 
 def _optimal_agent(scenario: Scenario):
-    params = _params(scenario, strict_pseudocode=False, matcher=None)
+    params = _params(scenario, strict_pseudocode=False)
     factory = optimal_factory(
         good_threshold=scenario.nests.good_threshold,
         strict_pseudocode=bool(params["strict_pseudocode"]),
@@ -300,13 +244,11 @@ def _optimal_agent(scenario: Scenario):
 
 
 def _optimal_kwargs(scenario: Scenario) -> dict:
-    params = _params(scenario, strict_pseudocode=False, matcher=None)
+    params = _params(scenario, strict_pseudocode=False)
     return {"strict_pseudocode": bool(params["strict_pseudocode"])}
 
 
-_optimal_fast, _optimal_batch = _kernel_pair(
-    simulate_optimal, simulate_optimal_batch, _optimal_kwargs
-)
+_optimal_batch = _batch_adapter(simulate_optimal_batch, _optimal_kwargs)
 
 
 #: Algorithm 2's kernel predates the perturbation layers: histories and its
@@ -320,7 +262,7 @@ OPTIMAL_FAST_FEATURES = frozenset(
 
 
 def _spread_policy(scenario: Scenario) -> IgnorantPolicy:
-    params = _params(scenario, policy=IgnorantPolicy.WAIT.value, matcher=None)
+    params = _params(scenario, policy=IgnorantPolicy.WAIT.value)
     return IgnorantPolicy(params["policy"])
 
 
@@ -328,11 +270,9 @@ def _spread_agent(scenario: Scenario):
     return informed_spread_factory(_spread_policy(scenario)), None
 
 
-def _spread_report(
-    scenario: Scenario, result: SpreadResult, matcher: str
-) -> RunReport:
+def _spread_report(scenario: Scenario, result: SpreadResult) -> RunReport:
     good_nest = scenario.nests.good_nests[0]
-    extras = _fast_extras(matcher)
+    extras = _fast_extras()
     extras["informed_history"] = result.informed_history.tolist()
     return RunReport(
         algorithm=scenario.algorithm,
@@ -353,27 +293,6 @@ def _spread_report(
     )
 
 
-def _spread_fast(scenario: Scenario, source: RandomSource) -> RunReport:
-    matcher = scenario_matcher(scenario)
-    if matcher == "v1":
-        result = simulate_spread(
-            scenario.n,
-            scenario.nests.k,
-            policy=_spread_policy(scenario),
-            seed=source,
-            max_rounds=scenario.max_rounds,
-        )
-    else:
-        result = simulate_spread_batch(
-            scenario.n,
-            scenario.nests.k,
-            [source],
-            policy=_spread_policy(scenario),
-            max_rounds=scenario.max_rounds,
-        )[0]
-    return _spread_report(scenario, result, matcher)
-
-
 def _spread_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
     base = scenarios[0]
     results = simulate_spread_batch(
@@ -384,7 +303,7 @@ def _spread_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
         max_rounds=base.max_rounds,
     )
     return [
-        _spread_report(scenario, result, "v2")
+        _spread_report(scenario, result)
         for scenario, result in zip(scenarios, results)
     ]
 
@@ -399,9 +318,7 @@ def _spread_structure(scenario: Scenario) -> bool:
 
 
 def _quorum_params(scenario: Scenario) -> tuple[float, float]:
-    params = _params(
-        scenario, quorum_fraction=0.35, tandem_probability=0.25, matcher=None
-    )
+    params = _params(scenario, quorum_fraction=0.35, tandem_probability=0.25)
     return float(params["quorum_fraction"]), float(params["tandem_probability"])
 
 
@@ -417,78 +334,46 @@ def _quorum_agent(scenario: Scenario):
     return factory, criterion_factory("unanimous")
 
 
-def _quorum_fast(scenario: Scenario, source: RandomSource) -> RunReport:
+def _quorum_kwargs(scenario: Scenario) -> dict:
     quorum_fraction, tandem_probability = _quorum_params(scenario)
-    if scenario_matcher(scenario) == "v1":
-        raise ConfigurationError(
-            "the quorum fast kernel exists only under the v2 matcher "
-            "schedule; use backend='agent' for the sequential reference"
-        )
-    result = simulate_quorum_batch(
-        scenario.n,
-        scenario.nests,
-        [source],
-        max_rounds=scenario.max_rounds,
-        quorum_fraction=quorum_fraction,
-        tandem_probability=tandem_probability,
-        record_history=scenario.record_history,
-    )[0]
-    return RunReport.from_fast(scenario, result, extras=_fast_extras("v2"))
+    return {
+        "quorum_fraction": quorum_fraction,
+        "tandem_probability": tandem_probability,
+    }
 
 
-def _quorum_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
-    base = scenarios[0]
-    quorum_fraction, tandem_probability = _quorum_params(base)
-    results = simulate_quorum_batch(
-        base.n,
-        base.nests,
-        _sources(scenarios),
-        max_rounds=base.max_rounds,
-        quorum_fraction=quorum_fraction,
-        tandem_probability=tandem_probability,
-        record_history=base.record_history,
-    )
-    extras = _fast_extras("v2")
-    return [
-        RunReport.from_fast(scenario, result, extras=extras)
-        for scenario, result in zip(scenarios, results)
-    ]
+_quorum_batch = _batch_adapter(simulate_quorum_batch, _quorum_kwargs)
 
 
-#: Quorum's kernel: histories and its unanimity criterion, v2 only.
+#: Quorum's kernel: histories and its unanimity criterion.
 QUORUM_FAST_FEATURES = frozenset(
     {FEATURE_RECORD_HISTORY, criterion_feature("unanimous")}
 )
 
 
-def _quorum_structure(scenario: Scenario) -> bool:
-    return scenario_matcher(scenario) == "v2"
+def _uniform_params(scenario: Scenario) -> float:
+    params = _params(scenario, recruit_probability=0.5, kernel_backend=None)
+    return float(params["recruit_probability"])
 
 
 def _uniform_agent(scenario: Scenario):
-    params = _params(
-        scenario, recruit_probability=0.5, matcher=None, kernel_backend=None
-    )
+    recruit_probability = _uniform_params(scenario)
+    _reject_pin(scenario)
     factory = uniform_factory(
-        recruit_probability=float(params["recruit_probability"]),
+        recruit_probability=recruit_probability,
         good_threshold=scenario.nests.good_threshold,
     )
     return factory, None
 
 
 def _uniform_kwargs(scenario: Scenario) -> dict:
-    params = _params(
-        scenario, recruit_probability=0.5, matcher=None, kernel_backend=None
-    )
     return {
-        "recruit_probability": float(params["recruit_probability"]),
+        "recruit_probability": _uniform_params(scenario),
         **_perturbation_kwargs(scenario),
     }
 
 
-_uniform_fast, _uniform_batch = _kernel_pair(
-    simulate_simple, simulate_simple_batch, _uniform_kwargs
-)
+_uniform_batch = _batch_adapter(simulate_simple_batch, _uniform_kwargs)
 
 
 # -- agent-only extensions ----------------------------------------------------
@@ -613,49 +498,41 @@ def register_builtin_algorithms(registry=REGISTRY) -> None:
         "simple",
         "Algorithm 3: population-proportional recruitment, O(k log n)",
         agent_builder=_simple_agent,
-        fast_kernel=_simple_fast,
-        fast_supports=_simple_structure,
         fast_features=SIMPLE_FAST_FEATURES,
         batch_kernel=_simple_batch,
-        params=("kernel_backend", "matcher"),
+        params=("kernel_backend",),
     )
     registry.register(
         "optimal",
         "Algorithm 2: count-based competition, O(log n)",
         agent_builder=_optimal_agent,
-        fast_kernel=_optimal_fast,
         fast_features=OPTIMAL_FAST_FEATURES,
         batch_kernel=_optimal_batch,
-        params=("matcher", "strict_pseudocode"),
+        params=("strict_pseudocode",),
     )
     registry.register(
         "spread",
         "Theorem 3.2 lower-bound process: best-case information spreading",
         agent_builder=_spread_agent,
-        fast_kernel=_spread_fast,
         fast_supports=_spread_structure,
         batch_kernel=_spread_batch,
-        params=("matcher", "policy"),
+        params=("policy",),
     )
     registry.register(
         "quorum",
         "Pratt-style quorum sensing (the biological baseline)",
         agent_builder=_quorum_agent,
-        fast_kernel=_quorum_fast,
-        fast_supports=_quorum_structure,
         fast_features=QUORUM_FAST_FEATURES,
         batch_kernel=_quorum_batch,
-        params=("matcher", "quorum_fraction", "tandem_probability"),
+        params=("quorum_fraction", "tandem_probability"),
     )
     registry.register(
         "uniform",
         "Algorithm 3 ablation: constant recruit probability (no feedback)",
         agent_builder=_uniform_agent,
-        fast_kernel=_uniform_fast,
-        fast_supports=_simple_structure,
         fast_features=SIMPLE_FAST_FEATURES,
         batch_kernel=_uniform_batch,
-        params=("kernel_backend", "matcher", "recruit_probability"),
+        params=("kernel_backend", "recruit_probability"),
     )
     registry.register(
         "rumor",
@@ -675,11 +552,9 @@ def register_builtin_algorithms(registry=REGISTRY) -> None:
         "adaptive",
         "Algorithm 3 with the round-indexed k-tilde rate schedule (E9)",
         agent_builder=_adaptive_agent,
-        fast_kernel=_adaptive_fast,
-        fast_supports=_simple_structure,
         fast_features=SIMPLE_FAST_FEATURES,
         batch_kernel=_adaptive_batch,
-        params=("half_life", "k_initial", "kernel_backend", "matcher"),
+        params=("half_life", "k_initial", "kernel_backend"),
     )
     registry.register(
         "power_feedback",

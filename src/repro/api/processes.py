@@ -100,7 +100,7 @@ def _tagged_params(scenario: Scenario) -> float:
     return float(scenario.params.get("active_fraction", 1.0))
 
 
-def _tagged_fast(scenario: Scenario, source: RandomSource) -> RunReport:
+def _tagged_trial(scenario: Scenario, source: RandomSource) -> RunReport:
     fraction = _tagged_params(scenario)
     success = tagged_recruitment_trial(scenario.n, fraction, source.matcher)
     return _report(
@@ -113,13 +113,13 @@ def _tagged_fast(scenario: Scenario, source: RandomSource) -> RunReport:
 
 
 def _tagged_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
-    return [_tagged_fast(s, s.source()) for s in scenarios]
+    return [_tagged_trial(s, s.source()) for s in scenarios]
 
 
 # -- Lemma 5.4: the uniform round-1 search split -----------------------------
 
 
-def _split_fast(scenario: Scenario, source: RandomSource) -> RunReport:
+def _split_trial(scenario: Scenario, source: RandomSource) -> RunReport:
     if scenario.params:
         raise ConfigurationError(
             f"initial_split does not accept params {sorted(scenario.params)}"
@@ -149,7 +149,7 @@ def _split_fast(scenario: Scenario, source: RandomSource) -> RunReport:
 
 
 def _split_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
-    return [_split_fast(s, s.source()) for s in scenarios]
+    return [_split_trial(s, s.source()) for s in scenarios]
 
 
 def register_measurement_processes(registry) -> None:
@@ -157,13 +157,11 @@ def register_measurement_processes(registry) -> None:
     registry.register(
         "tagged_recruitment",
         "Lemma 2.1 sampler: one Algorithm 1 round, tagged-recruiter success",
-        fast_kernel=_tagged_fast,
         batch_kernel=_tagged_batch,
         params=("active_fraction",),
     )
     registry.register(
         "initial_split",
         "Lemma 5.4 sampler: uniform round-1 multinomial nest split",
-        fast_kernel=_split_fast,
         batch_kernel=_split_batch,
     )

@@ -4,8 +4,11 @@ Each :class:`AlgorithmEntry` binds a registry name to
 
 - an **agent builder**: ``(scenario) -> (AntFactory, default CriterionFactory
   or None)`` — how to assemble a colony for the reference engine, and
-- a **fast kernel**: ``(scenario, source) -> RunReport`` — the vectorized
-  implementation, when one exists.
+- at most one **fast entry point**, when a vectorized implementation
+  exists: a **batch kernel** ``(scenarios) -> [RunReport, ...]`` that runs
+  a homogeneous chunk trial-parallel (a single run is a batch of one), or,
+  for the standalone processes with no batch form, a per-trial **fast
+  kernel** ``(scenario, source) -> RunReport``.
 
 Which scenarios a fast kernel can honor is declared **feature-granularly**:
 :func:`scenario_features` maps a scenario to the set of feature tags it
@@ -145,46 +148,30 @@ def scenario_features(scenario: "Scenario") -> frozenset[str]:
 AgentBuilder = Callable[
     ["Scenario"], tuple[AntFactory, "CriterionFactory | None"]
 ]
-#: Runs the vectorized implementation of a scenario.
+#: Runs one scenario's vectorized implementation (the fast entry point of
+#: processes that have no batch kernel).
 FastKernel = Callable[["Scenario", RandomSource], "RunReport"]
 #: Structural constraints beyond the feature tags (e.g. the spread process
-#: hard-coding the good nest as nest 1, or a kernel existing only under the
-#: v2 matcher schedule).  Feature coverage is declared via ``fast_features``.
+#: hard-coding the good nest as nest 1).  Feature coverage is declared via
+#: ``fast_features``.
 FastSupport = Callable[["Scenario"], bool]
 #: Runs one homogeneous chunk of scenarios trial-parallel (the batched fast
-#: engine); must return one report per scenario, in order, bit-identical to
-#: running each scenario alone through the v2 fast kernel.
+#: engine); must return one report per scenario, in order, bit-identical
+#: for every chunking — a scenario alone is a batch of one.
 BatchKernel = Callable[[Sequence["Scenario"]], "list[RunReport]"]
-
-#: The matcher schedule the fast engine uses unless a scenario pins one via
-#: ``params={"matcher": ...}``.  "v2" is the batched, data-independent
-#: schedule; "v1" is the sequential-scan reference kept for regression
-#: comparison (see docs/PERFORMANCE.md).
-DEFAULT_MATCHER = "v2"
-MATCHER_NAMES = ("v1", "v2")
-
-
-def scenario_matcher(scenario: "Scenario") -> str:
-    """The matcher schedule a scenario requests (validated)."""
-    matcher = scenario.params.get("matcher", DEFAULT_MATCHER)
-    if matcher not in MATCHER_NAMES:
-        raise ConfigurationError(
-            f"unknown matcher {matcher!r}; known: {', '.join(MATCHER_NAMES)}"
-        )
-    return matcher
 
 
 def scenario_kernel_backend(scenario: "Scenario") -> str | None:
     """The kernel-backend pin a scenario requests (validated), or ``None``.
 
-    Every backend realizes the v2 batched kernels bit-for-bit, so an
+    Every backend realizes the batch kernels bit-for-bit, so an
     environment-selected backend (``$REPRO_FAST_BACKEND`` or
     :func:`repro.fast.backends.use_backend`) is digest-transparent and
     never recorded.  An explicit ``params={"kernel_backend": ...}`` pin
     *is* part of the scenario identity — the runner records it in report
-    extras.  Pins only name a realization of the v2 batched kernels; the
-    sequential v1 schedule has no backend seam, so a pin combined with
-    ``matcher="v1"`` is a configuration error rather than a silent ignore.
+    extras.  Pins only name a realization of the batch kernels; the agent
+    engine has no backend seam, so its builders reject a pin rather than
+    silently ignoring it.
     """
     pin = scenario.params.get("kernel_backend")
     if pin is None:
@@ -193,18 +180,16 @@ def scenario_kernel_backend(scenario: "Scenario") -> str | None:
         raise ConfigurationError(
             f"unknown kernel backend {pin!r}; known: {', '.join(BACKEND_NAMES)}"
         )
-    if scenario_matcher(scenario) == "v1":
-        raise ConfigurationError(
-            "kernel_backend pins select a realization of the v2 batched "
-            "kernels; the sequential v1 matcher schedule has no backend "
-            "seam — drop the pin or use matcher='v2'"
-        )
     return pin
 
 
 @dataclass(frozen=True)
 class AlgorithmEntry:
-    """One registered algorithm: metadata plus per-engine adapters."""
+    """One registered algorithm: metadata plus per-engine adapters.
+
+    ``fast_kernel`` and ``batch_kernel`` are alternative fast entry points:
+    an entry registers at most one of them.
+    """
 
     name: str
     summary: str
@@ -220,7 +205,12 @@ class AlgorithmEntry:
     param_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.agent_builder is None and self.fast_kernel is None:
+        if self.fast_kernel is not None and self.batch_kernel is not None:
+            raise ConfigurationError(
+                f"algorithm {self.name!r} registers both a fast_kernel and a "
+                "batch_kernel; register one fast entry point"
+            )
+        if self.agent_builder is None and not self.has_fast:
             raise ConfigurationError(
                 f"algorithm {self.name!r} registers neither engine"
             )
@@ -240,8 +230,8 @@ class AlgorithmEntry:
 
     @property
     def has_fast(self) -> bool:
-        """Whether a vectorized kernel is registered."""
-        return self.fast_kernel is not None
+        """Whether a vectorized kernel (batch or per-trial) is registered."""
+        return self.fast_kernel is not None or self.batch_kernel is not None
 
     @property
     def backends(self) -> tuple[str, ...]:
@@ -255,13 +245,11 @@ class AlgorithmEntry:
 
     def supports_fast(self, scenario: "Scenario") -> bool:
         """Whether the fast kernel exists *and* covers this scenario."""
-        return self.fast_kernel is not None and not self.missing_fast_features(
-            scenario
-        )
+        return self.has_fast and not self.missing_fast_features(scenario)
 
     #: Pseudo-tag reported when the structural predicate (not a declared
     #: feature) rules the fast kernel out — e.g. a spread scenario whose
-    #: good nest is not nest 1, or a v1-matcher request on a v2-only kernel.
+    #: good nest is not nest 1.
     STRUCTURAL_LIMIT = "scenario-structure"
 
     def missing_fast_features(self, scenario: "Scenario") -> tuple[str, ...]:
@@ -274,7 +262,7 @@ class AlgorithmEntry:
         ``backend="fast"`` error message, and the ``agent_fallback`` extra
         :func:`repro.api.run` records under ``backend="auto"``.
         """
-        if self.fast_kernel is None:
+        if not self.has_fast:
             return ("no-fast-kernel",)
         missing = tuple(sorted(scenario_features(scenario) - self.fast_features))
         if missing:
@@ -289,17 +277,8 @@ class AlgorithmEntry:
         return self.batch_kernel is not None
 
     def supports_batch(self, scenario: "Scenario") -> bool:
-        """Whether the batch kernel exists and covers this scenario.
-
-        Batch execution requires the v2 matcher schedule — scenarios that
-        pin ``matcher="v1"`` run trial-by-trial through the sequential fast
-        kernel instead.
-        """
-        if self.batch_kernel is None:
-            return False
-        if not self.supports_fast(scenario):
-            return False
-        return scenario_matcher(scenario) == DEFAULT_MATCHER
+        """Whether the batch kernel exists and covers this scenario."""
+        return self.has_batch and self.supports_fast(scenario)
 
 
 class AlgorithmRegistry:

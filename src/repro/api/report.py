@@ -140,9 +140,7 @@ class RunReport:
         """Normalize a fast-engine :class:`FastRunResult`.
 
         ``extras`` lets the registry adapters record engine detail (e.g.
-        which matcher schedule ran) without widening the schema.  The batch
-        and single-trial fast paths pass identical extras, keeping their
-        reports bit-identical.
+        which matcher schedule ran) without widening the schema.
         """
         return cls(
             algorithm=scenario.algorithm,

@@ -124,8 +124,11 @@ def run(
 ) -> RunReport:
     """Execute one scenario and return its normalized report.
 
-    ``hooks`` (per-round callbacks) exist only on the agent engine; passing
-    any forces agent execution under ``backend="auto"``.
+    On the fast engine, an algorithm with a batch kernel runs the scenario
+    as a batch of one — bit-identical to the same trial inside any
+    :func:`run_batch` chunk.  ``hooks`` (per-round callbacks) exist only on
+    the agent engine; passing any forces agent execution under
+    ``backend="auto"``.
 
     When ``backend="auto"`` falls back to the agent engine even though a
     fast kernel is registered, the report's ``extras["agent_fallback"]``
@@ -140,6 +143,8 @@ def run(
         if hooks:
             raise ConfigurationError("round hooks require backend='agent'")
         entry = registry.get(scenario.algorithm)
+        if entry.has_batch:
+            return entry.batch_kernel([scenario])[0]
         return entry.fast_kernel(scenario, scenario.source())
 
     entry = registry.get(scenario.algorithm)
@@ -619,10 +624,9 @@ def run_batch(
     Homogeneous runs of scenarios — same algorithm and workload, differing
     only in ``seed``/``trial_index`` — are detected and dispatched to the
     algorithm's trial-parallel batch kernel in chunks (when the registry
-    entry has one, the resolved backend is ``fast`` and the scenario uses
-    the default v2 matcher schedule); everything else runs
-    scenario-by-scenario as before.  ``workers > 1`` fans the chunks and
-    the leftover singles out over a process pool; pass a
+    entry has one and the resolved backend is ``fast``); everything else
+    runs scenario-by-scenario through :func:`run`.  ``workers > 1`` fans
+    the chunks and the leftover singles out over a process pool; pass a
     :class:`WorkerPool` via ``pool=`` to reuse worker processes across
     calls (``pool`` takes precedence over ``workers``).  ``batch_chunk``
     defaults to the size-aware :func:`default_batch_chunk` policy per

@@ -1,67 +1,18 @@
 """Vectorized re-implementations of the paper's processes.
 
-The agent-based engine (:mod:`repro.sim`) is the readable reference; these
-simulators keep all per-ant state in numpy arrays and re-implement the exact
-same round semantics (including the Algorithm 1 matcher, shared via
-:func:`repro.model.recruitment.match_arrays`), making sweeps at
-``n = 2^12 .. 2^16`` practical.  Tests assert statistical equivalence of the
-two engines' convergence-round distributions on common configurations.
+The agent-based engine (:mod:`repro.sim`) is the readable reference; the
+trial-parallel batch kernels (:mod:`repro.fast.batch`) keep all per-ant
+state in ``(trials, ants)`` numpy arrays and re-implement the same round
+semantics under the data-independent v2 matcher schedule
+(:mod:`repro.fast.batch_matcher`), making sweeps at ``n = 2^12 .. 2^16``
+practical.  Tests assert statistical equivalence of the two engines'
+convergence-round distributions on common configurations.
 
-Two layers coexist:
-
-- the single-trial kernels (``simulate_simple`` / ``simulate_optimal`` /
-  ``simulate_spread``), which use the sequential-scan v1 matcher, and
-- the trial-parallel batch kernels (:mod:`repro.fast.batch`), which run
-  whole sweeps as ``(trials, ants)`` arrays under the data-independent v2
-  matcher schedule (:mod:`repro.fast.batch_matcher`) and back
-  :func:`repro.api.run_batch`'s homogeneous-sweep dispatch.
-
-.. deprecated::
-    Importing the ``simulate_*`` kernels from this package namespace is
-    deprecated (and now emits :class:`DeprecationWarning`): experiment and
-    application code should go through the Scenario API
-    (:func:`repro.api.run` / :func:`repro.api.run_batch`), which dispatches
-    to these kernels via the algorithm registry.  The registered kernels
-    themselves import from the concrete submodules
-    (:mod:`repro.fast.simple_fast`, :mod:`repro.fast.batch`, ...), which
-    stay importable without a warning — they are the execution substrate.
+Experiment and application code goes through the Scenario API
+(:func:`repro.api.run` / :func:`repro.api.run_batch`), which dispatches to
+these kernels via the algorithm registry.
 """
 
-import warnings
+from repro.fast.results import FastRunResult, SpreadResult
 
-from repro.fast.results import FastRunResult
-from repro.fast.spread_fast import SpreadResult
-
-#: Deprecated package-level kernel exports -> (module, attribute).
-_DEPRECATED_KERNELS = {
-    "simulate_optimal": ("repro.fast.optimal_fast", "simulate_optimal"),
-    "simulate_optimal_batch": ("repro.fast.batch", "simulate_optimal_batch"),
-    "simulate_quorum_batch": ("repro.fast.batch", "simulate_quorum_batch"),
-    "simulate_simple": ("repro.fast.simple_fast", "simulate_simple"),
-    "simulate_simple_batch": ("repro.fast.batch", "simulate_simple_batch"),
-    "simulate_spread": ("repro.fast.spread_fast", "simulate_spread"),
-    "simulate_spread_batch": ("repro.fast.batch", "simulate_spread_batch"),
-}
-
-__all__ = [
-    "FastRunResult",
-    "SpreadResult",
-    *sorted(_DEPRECATED_KERNELS),
-]
-
-
-def __getattr__(name: str):
-    """Serve (and warn on) the deprecated package-level kernel names."""
-    if name in _DEPRECATED_KERNELS:
-        module_name, attribute = _DEPRECATED_KERNELS[name]
-        warnings.warn(
-            f"importing {name} from repro.fast is deprecated; run scenarios "
-            "through repro.api (run/run_batch/run_study) instead — "
-            f"registered kernels import from {module_name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module 'repro.fast' has no attribute {name!r}")
+__all__ = ["FastRunResult", "SpreadResult"]

@@ -47,20 +47,10 @@ _REGISTRY_LOCK = threading.Lock()
 
 
 class Arena:
-    """Named buffer pool: grow-only rows, exact trailing shape and dtype.
+    """Named numpy buffer pool: grow-only rows, exact trailing shape/dtype."""
 
-    The pool is generic over the array namespace: pass any module
-    implementing the Python array API's ``empty(shape, dtype=...)`` (and
-    whose arrays carry ``dtype``/``shape``) as ``xp`` and every buffer is
-    allocated there — ``Arena(cupy)`` pools device memory with the exact
-    same naming discipline.  The default is numpy, and the aliasing
-    sanitizer (:meth:`check_aliasing`) is numpy-only because the array
-    API standard has no ``shares_memory``.
-    """
-
-    def __init__(self, xp=np) -> None:
-        self.xp = xp
-        self._buffers: dict[str, object] = {}
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
         self._total = 0
         #: Largest retained-bytes figure this arena ever reached; survives
         #: :meth:`release`/:meth:`clear` so the service can report the
@@ -68,13 +58,6 @@ class Arena:
         self.high_water_bytes = 0
         with _REGISTRY_LOCK:
             _REGISTRY.add(self)
-
-    @staticmethod
-    def _nbytes_of(buffer) -> int:
-        nbytes = getattr(buffer, "nbytes", None)
-        if nbytes is None:
-            nbytes = buffer.size * buffer.dtype.itemsize
-        return int(nbytes)
 
     def buf(self, name: str, shape: tuple[int, ...], dtype):
         """An uninitialized view of ``shape``, recycled when compatible.
@@ -91,10 +74,10 @@ class Arena:
             or buffer.shape[0] < shape[0]
         ):
             if buffer is not None:
-                self._total -= self._nbytes_of(buffer)
-            buffer = self.xp.empty(shape, dtype=dtype)
+                self._total -= buffer.nbytes
+            buffer = np.empty(shape, dtype=dtype)
             self._buffers[name] = buffer
-            self._total += self._nbytes_of(buffer)
+            self._total += buffer.nbytes
             if self._total > self.high_water_bytes:
                 self.high_water_bytes = self._total
         return buffer[: shape[0]]
@@ -102,11 +85,7 @@ class Arena:
     def full(self, name: str, shape: tuple[int, ...], dtype, fill):
         """Like :meth:`buf` but filled with ``fill`` (the ``np.full`` shape)."""
         view = self.buf(name, shape, dtype)
-        # ndarray.fill is a memset fast path but not array-API standard.
-        if hasattr(view, "fill"):
-            view.fill(fill)
-        else:
-            view[...] = fill
+        view.fill(fill)
         return view
 
     def clear(self) -> None:
@@ -133,14 +112,12 @@ class Arena:
             return 0
         released = 0
         by_size = sorted(
-            self._buffers.items(),
-            key=lambda item: self._nbytes_of(item[1]),
-            reverse=True,
+            self._buffers.items(), key=lambda item: item[1].nbytes, reverse=True
         )
         for name, buffer in by_size:
             if self._total <= target_bytes:
                 break
-            nbytes = self._nbytes_of(buffer)
+            nbytes = buffer.nbytes
             del self._buffers[name]
             self._total -= nbytes
             released += nbytes
@@ -153,11 +130,7 @@ class Arena:
         rule above); overlap means a :meth:`buf` bookkeeping bug.  Called
         by the ``REPRO_SANITIZE=1`` runtime sanitizer
         (:mod:`repro.lintkit.sanitize`) after every kernel invocation.
-        Numpy-only: non-numpy namespaces have no ``shares_memory``, so
-        the check degrades to a no-op rather than guessing at aliasing.
         """
-        if self.xp is not np:
-            return
         buffers = list(self._buffers.items())
         for i, (name_a, buf_a) in enumerate(buffers):
             for name_b, buf_b in buffers[i + 1 :]:

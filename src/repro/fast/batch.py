@@ -15,11 +15,12 @@ batch, and under any worker count — the invariant
 :func:`repro.api.run_batch` and its tests rely on.
 
 All kernels use the v2 matcher schedule (:mod:`repro.fast.batch_matcher`);
-round semantics otherwise mirror the single-trial kernels
-(:mod:`repro.fast.simple_fast`, :mod:`repro.fast.optimal_fast`,
-:mod:`repro.fast.spread_fast`) and, for the two baselines with no prior
-fast path, the agent implementations (:class:`repro.baselines.quorum.
-QuorumAnt`, :class:`repro.baselines.uniform.UniformRecruitAnt`).
+round semantics otherwise mirror the agent implementations
+(:class:`repro.core.simple.SimpleAnt`, :class:`repro.core.optimal.OptimalAnt`,
+:class:`repro.core.lower_bound.InformedSpreadAnt`,
+:class:`repro.baselines.quorum.QuorumAnt`,
+:class:`repro.baselines.uniform.UniformRecruitAnt`), which run the v1
+schedule (:func:`repro.model.recruitment.match_arrays`).
 
 **Allocation discipline** (PR 5; see docs/PERFORMANCE.md §5): per-round
 temporaries come from the process-local :func:`~repro.fast.arena.
@@ -56,10 +57,9 @@ from repro.fast.batch_matcher import (
     match_pairs_batch,
     match_positions_batch,
 )
-from repro.fast.results import FastRunResult
+from repro.fast.results import FastRunResult, SpreadResult
 from repro.fast.tiling import resolve_tile_width, tile_spans
 from repro.lintkit.sanitize import sanitized
-from repro.fast.spread_fast import SpreadResult
 from repro.model.nests import NestConfig
 from repro.sim.asynchrony import DelayModel
 from repro.sim.faults import (
@@ -309,8 +309,13 @@ def simulate_simple_batch(
     """Batched Algorithm 3 (plus the E9/E10 variants and the E8 ablation).
 
     Round semantics per trial are those of
-    :func:`repro.fast.simple_fast.simulate_simple` under the v2 matcher
-    schedule; ``recruit_probability`` switches in the constant-rate
+    :class:`repro.core.simple.SimpleAnt` under the v2 matcher schedule:
+    round 1 everyone searches and good-nest finders are *active*; even
+    rounds everyone is home for one Algorithm 1 matching, where an active
+    ant recruits with probability ``count/n`` (times ``rate_multiplier``
+    of the recruitment phase, clipped to 1) and a recruited passive ant
+    activates; odd rounds everyone assesses its nest's population.
+    ``recruit_probability`` switches in the constant-rate
     ``uniform`` baseline.  Returns one :class:`FastRunResult` per source,
     in order.
 
@@ -1178,10 +1183,23 @@ def simulate_optimal_batch(
 ) -> list[FastRunResult]:
     """Batched Algorithm 2, one four-round case block at a time.
 
-    Mask-based port of :func:`repro.fast.optimal_fast.simulate_optimal`
-    (see that module's sub-round table) under the v2 matcher schedule; the
-    three matchings per block run over each trial's own participant subset
-    via :func:`~repro.fast.batch_matcher.match_positions_batch`.
+    Mask-based port of :class:`repro.core.optimal.OptimalAnt` under the v2
+    matcher schedule, including who is physically where in every sub-round
+    (so recorded population histories are faithful):
+
+    ====  =======================  ====================  ====================
+    sub   actives                  passives              finals
+    ====  =======================  ====================  ====================
+    B1    recruit(1, nest) [home]  go(nest)              recruit(1, ·) [home]
+    B2    go(nest)                 recruit(0, ·) [home]  recruit(1, ·) [home]
+    B3    c1/c3: go · c2: home     go(nest)              recruit(1, ·) [home]
+    B4    c1: home · c2/c3: go     go(nest)              recruit(1, ·) [home]
+    ====  =======================  ====================  ====================
+
+    The three matchings per block (B1: actives+finals, B2: passives+finals,
+    B3/B4: dropping/checking actives+finals) run over each trial's own
+    participant subset via
+    :func:`~repro.fast.batch_matcher.match_positions_batch`.
     """
     _check_batch(n, sources)
     prof = profiling.active()
@@ -1375,9 +1393,11 @@ def simulate_spread_batch(
 ) -> list[SpreadResult]:
     """Batched lower-bound spread process (v2 schedule).
 
-    Port of :func:`repro.fast.spread_fast.simulate_spread`: informed ants
-    push the good nest ``w = 1`` through Algorithm 1 every round; ignorant
-    ants follow ``policy``.
+    Vectorizes :class:`repro.core.lower_bound.InformedSpreadAnt`: round 1
+    everyone searches and finders of the good nest ``w = 1`` become
+    informed; later rounds informed ants push ``w`` through Algorithm 1
+    while ignorant ants follow ``policy``.  Completion is the first round
+    after which no ant is ignorant.
     """
     _check_batch(n, sources)
     prof = profiling.active()

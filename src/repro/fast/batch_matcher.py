@@ -3,8 +3,9 @@
 The reference matcher (:func:`repro.model.recruitment.match_arrays`, "v1")
 scans a uniform random permutation of the participant slots and lets each
 still-unrecruited active slot draw a uniform choice *at its attempt*.  That
-scan is a Python loop over up to ``m`` slots per recruitment round — the
-interpreter-bound hot path of every fast-engine run.
+scan is a Python loop over up to ``m`` slots per recruitment round — fine
+for the agent engine, which runs it, but an interpreter-bound hot path for
+a vectorized one.
 
 The v2 schedule removes both data dependencies (docs/PERFORMANCE.md §3
 gives the full argument and its precise scope):
@@ -15,8 +16,8 @@ gives the full argument and its precise scope):
    outcome law (time-0 relabeling argument); across rounds it is
    equivalent to freezing one permutation rather than redrawing, which
    introduces O(1/n)-scale rank-persistence effects — the v1/v2
-   equivalence relied on is *statistical*, pinned by the test suite, with
-   ``matcher="v1"`` keeping the literal schedule available.
+   equivalence relied on is *statistical*, pinned by the agent-vs-batch
+   suites, with the agent engine keeping the literal schedule.
 2. **Pre-drawn choices.**  Every slot that *wants* to recruit (the
    ``recruit(1, ·)`` callers) is assigned one uniform choice up front, in
    slot order, instead of drawing lazily per attempt.  Attempting slots

@@ -1,4 +1,4 @@
-"""Result container shared by the fast simulators."""
+"""Result containers shared by the fast simulators."""
 
 from __future__ import annotations
 
@@ -32,5 +32,25 @@ class FastRunResult:
         return (
             self.converged_round
             if self.converged_round is not None
+            else self.rounds_executed
+        )
+
+
+@dataclass(frozen=True)
+class SpreadResult:
+    """Outcome of one run of the lower-bound spread process (Theorem 3.2)."""
+
+    all_informed: bool
+    rounds_to_all_informed: int | None
+    rounds_executed: int
+    #: Number of informed ants at the end of each round (index 0 = round 1).
+    informed_history: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def completion_round(self) -> int:
+        """Completion round, or ``rounds_executed`` when censored."""
+        return (
+            self.rounds_to_all_informed
+            if self.rounds_to_all_informed is not None
             else self.rounds_executed
         )

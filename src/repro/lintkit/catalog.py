@@ -112,8 +112,7 @@ RULES: dict[str, Rule] = {
                 "arena.buf(...) and be written with out= ufunc forms.  "
                 "Deliberate exceptions (history rows that must own their "
                 "storage, variable-size sparse gathers) carry an inline "
-                "suppression; the pre-arena v1 reference kernels are "
-                "baselined wholesale."
+                "suppression."
             ),
             bad="while live.size:\n    scratch = np.zeros((m, n))",
             good="scratch = arena.buf('scratch', (m, n), np.float64)\n"
@@ -184,11 +183,12 @@ RULES: dict[str, Rule] = {
                 "or golden test that names it.  The checker scans the "
                 "parity-bearing test modules (test_*equivalence*, "
                 "test_*parity*, test_*golden*, test_fast_*, test_*matcher* "
-                "and the golden helpers) for each fast-kernel entry's "
-                "registry name and fails on gaps — an uncovered kernel is "
-                "an unverified rewrite waiting to diverge."
+                "and the golden helpers) for the registry name of each "
+                "entry with a fast_kernel or batch_kernel and fails on "
+                "gaps — an uncovered kernel is an unverified rewrite "
+                "waiting to diverge."
             ),
-            bad='registry.register("new_algo", fast_kernel=kf)  # untested',
+            bad='registry.register("new_algo", batch_kernel=kb)  # untested',
             good="tests/test_new_algo_parity.py exercising "
             'Scenario(algorithm="new_algo") on both backends',
         ),

@@ -18,11 +18,11 @@ Two silencing mechanisms, for two situations:
   ``-- justification`` is conventional and encouraged.  A file-scoped
   ``# reprolint: disable-file=RULE`` silences a rule for a whole module.
 
-- **the committed baseline** (``.reprolint-baseline.json``) for
-  pre-existing accepted debt that should not be scattered through the
-  source as comments (e.g. the pre-arena v1 reference kernels).  New
-  findings never enter the baseline silently: regenerating it is an
-  explicit ``--write-baseline`` run that shows up in review.
+- **a baseline file** (``.reprolint-baseline.json`` at the repo root,
+  used when present) for pre-existing accepted debt that should not be
+  scattered through the source as comments.  New findings never enter a
+  baseline silently: writing one is an explicit ``--write-baseline`` run
+  that shows up in review.
 """
 
 from __future__ import annotations

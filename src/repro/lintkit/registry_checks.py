@@ -62,7 +62,8 @@ class RegistryEntry:
 
     @property
     def has_fast(self) -> bool:
-        return "fast_kernel" in self.kwargs
+        """Either fast entry point (per-trial or batch) is registered."""
+        return "fast_kernel" in self.kwargs or self.has_batch
 
     @property
     def has_batch(self) -> bool:
@@ -88,8 +89,8 @@ class _Module:
         self.relpath = relpath
         self.tree = ast.parse(path.read_text(encoding="utf-8"), filename=relpath)
         self.functions: dict[str, ast.FunctionDef] = {}
-        #: module-level alias -> names it depends on (``_simple_fast,
-        #: _simple_batch = _kernel_pair(..., _simple_kwargs)``).
+        #: module-level alias -> names it depends on (``_simple_batch =
+        #: _batch_adapter(..., _simple_kwargs)``).
         self.aliases: dict[str, set[str]] = {}
         for node in self.tree.body:
             if isinstance(node, ast.FunctionDef):

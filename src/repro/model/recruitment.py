@@ -18,15 +18,15 @@ The paper stresses this is "a centralized process run by the environment",
 not a distributed algorithm — accordingly it lives here in the model layer
 and is invoked by the engine once per round.
 
-The core routine :func:`match_arrays` is array-based so the vectorized fast
-engine (:mod:`repro.fast`) can share it; :func:`run_recruitment` is the
-object-level wrapper used by the agent-based engine.
+The core routine :func:`match_arrays` is array-based so the measurement
+processes (:mod:`repro.api.processes`) can share it; :func:`run_recruitment`
+is the object-level wrapper used by the agent-based engine.
 
 Two draw schedules implement the same pairing law:
 
 - **v1** (:func:`match_arrays`): the literal transcription — scan a fresh
   uniform permutation, each attempt drawing its choice lazily.  Used by the
-  agent engine and available to the fast engine as ``matcher="v1"``.
+  agent engine, the reference every fast kernel is tested against.
 - **v2** (:func:`match_arrays_v2`): fixed slot-order scan with one choice
   pre-drawn per *wanting* slot.  Statistically equivalent to v1 (exactly
   so per round over exchangeable states; see docs/PERFORMANCE.md §3 for

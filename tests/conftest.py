@@ -8,16 +8,12 @@ import pytest
 
 def pytest_configure(config: pytest.Config) -> None:
     # The suite exercises the deprecated direct entry points
-    # (run_trial/run_trials, repro.fast simulate_* imports) on purpose —
-    # they are the substrate under test.  Filter the deprecation timeline's
-    # warnings here; tests/test_deprecations.py asserts they still fire.
+    # (run_trial/run_trials) on purpose — they are the substrate under
+    # test.  Filter the deprecation timeline's warnings here;
+    # tests/test_deprecations.py asserts they still fire.
     config.addinivalue_line(
         "filterwarnings",
         "ignore:calling run_trial:DeprecationWarning",
-    )
-    config.addinivalue_line(
-        "filterwarnings",
-        "ignore:importing simulate_:DeprecationWarning",
     )
     config.addinivalue_line(
         "markers",

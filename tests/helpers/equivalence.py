@@ -1,10 +1,11 @@
 """The statistical-equivalence harness shared across engine-parity suites.
 
-Factored out of the v1-vs-v2 matcher suites (``tests/test_matcher_v2.py``,
-``tests/test_batch_engine.py``) so every claim of the form "engine A and
-engine B sample the same law" — matcher schedules, batch kernels, and the
-vectorized perturbation layers against their agent-engine wrappers — is
-made with one vocabulary and one set of tolerances:
+Factored out of the v1-vs-v2 suites (``tests/test_matcher_v2.py``, and the
+agent-vs-batch checks in ``tests/test_batch_engine.py``) so every claim of
+the form "engine A and engine B sample the same law" — matcher schedules,
+batch kernels, and the vectorized perturbation layers against their
+agent-engine wrappers — is made with one vocabulary and one set of
+tolerances:
 
 - **Two-sample Kolmogorov–Smirnov** distance over convergence-round
   distributions (censored trials contribute their ``max_rounds`` atom, so

@@ -11,10 +11,10 @@ from repro.extensions.adaptive import (
     ktilde_schedule,
     power_feedback_factory,
 )
-from repro.fast.simple_fast import simulate_simple
 from repro.model.actions import SearchResult
 from repro.model.nests import NestConfig
 from repro.sim.run import run_trial
+from tests.helpers.runs import fast_runs
 
 
 class TestKtildeSchedule:
@@ -79,16 +79,21 @@ class TestAdaptiveAnt:
         """The headline claim of E9, at test scale (fast engine)."""
         k = 16
         nests = NestConfig.all_good(k)
-        schedule = ktilde_schedule(k, half_life=k / 4)
         plain = [
-            simulate_simple(512, nests, seed=s, max_rounds=20_000).converged_round
-            for s in range(8)
+            r.converged_round
+            for r in fast_runs("simple", 512, nests, range(8), max_rounds=20_000)
         ]
+        # The adaptive entry's rate multiplier: ktilde_schedule(k, half_life=k / 4).
         adaptive = [
-            simulate_simple(
-                512, nests, seed=s, max_rounds=20_000, rate_multiplier=schedule
-            ).converged_round
-            for s in range(8)
+            r.converged_round
+            for r in fast_runs(
+                "adaptive",
+                512,
+                nests,
+                range(8),
+                max_rounds=20_000,
+                params={"k_initial": k, "half_life": k / 4},
+            )
         ]
         assert np.median(adaptive) < np.median(plain)
 

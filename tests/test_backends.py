@@ -12,16 +12,11 @@ Three contracts from ``repro.fast.backends``:
    digest-transparent.
 3. **Honesty** — only an explicit scenario pin is part of scenario
    identity (recorded in report extras); pins are validated against the
-   registry (unknown names, pin+v1, algorithms without the seam all
-   raise ``ConfigurationError``).
-
-Plus the arena's array-API genericity (the ``xp`` namespace seam that
-makes the buffer pool cupy-ready without cupy present).
+   registry (unknown names, pins on the agent engine, algorithms without
+   the seam all raise ``ConfigurationError``).
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +24,6 @@ import pytest
 from repro.api import Scenario, run, run_batch
 from repro.exceptions import ConfigurationError
 from repro.fast import backends
-from repro.fast.arena import Arena
 from repro.fast.backends import (
     BACKEND_NAMES,
     availability,
@@ -199,34 +193,40 @@ def test_unknown_pin_rejected():
         run(_pin_scenario(kernel_backend="cuda"))
 
 
-def test_pin_plus_v1_matcher_rejected():
-    with pytest.raises(ConfigurationError, match="v1 matcher"):
-        run(_pin_scenario(kernel_backend="numpy", matcher="v1"))
+@pytest.mark.parametrize("algorithm", ["simple", "adaptive", "uniform"])
+@pytest.mark.parametrize(
+    "pin, match",
+    [("numpy", "runs on the agent engine"), ("cuda", "unknown kernel backend")],
+)
+def test_pin_rejected_on_explicit_agent_backend(algorithm, pin, match):
+    """The agent engine has no backend seam: any pin there is an error."""
+    scenario = _pin_scenario(kernel_backend=pin).replace(algorithm=algorithm)
+    with pytest.raises(ConfigurationError, match=match):
+        run(scenario, backend="agent")
+
+
+class _CustomNoise:
+    """A duck-typed noise model only the agent engine can honor."""
+
+    is_null = False
+    quality_flip_prob = 0.0
+
+    def perturb_count(self, count, n, rng):
+        return count
+
+    def perturb_quality(self, quality, rng):
+        return quality
 
 
 @pytest.mark.parametrize(
-    "params, match",
-    [
-        ({"kernel_backend": "cuda", "matcher": "v1"}, "unknown kernel backend"),
-        ({"kernel_backend": "numpy", "matcher": "v1"}, "v1 matcher"),
-    ],
+    "pin, match",
+    [("numpy", "runs on the agent engine"), ("cuda", "unknown kernel backend")],
 )
-def test_bad_pin_rejected_even_on_agent_fallback(params, match):
-    """Validation is as eager as the matcher param's: a bad pin raises even
-    when the scenario's structure would route to the agent engine (where
-    the pin would otherwise be silently ignored)."""
-    from repro import DelayModel
-
-    scenario = Scenario(
-        algorithm="simple",
-        n=64,
-        nests=_NESTS,
-        seed=11,
-        max_rounds=2_000,
-        # v1 + delay is not a fast-path structure -> agent fallback.
-        delay_model=DelayModel(0.5),
-        params=params,
-    )
+def test_bad_pin_rejected_even_on_agent_fallback(pin, match):
+    """A pin raises even when ``auto`` falls back to the agent engine,
+    where it would otherwise be silently ignored."""
+    # A custom noise model is not a fast-path feature -> agent fallback.
+    scenario = _pin_scenario(kernel_backend=pin).replace(noise=_CustomNoise())
     with pytest.raises(ConfigurationError, match=match):
         run(scenario)
 
@@ -242,80 +242,3 @@ def test_pin_rejected_by_algorithms_without_the_seam():
     )
     with pytest.raises(ConfigurationError, match="does not accept params"):
         run(scenario)
-
-
-# -- the arena's array-API namespace seam -------------------------------------
-
-
-class _ApiArray:
-    """Minimal array-API-shaped wrapper: no ``fill``, no ``nbytes``."""
-
-    def __init__(self, data: np.ndarray) -> None:
-        self._data = data
-
-    @property
-    def dtype(self):
-        return self._data.dtype
-
-    @property
-    def shape(self):
-        return self._data.shape
-
-    @property
-    def size(self):
-        return self._data.size
-
-    def __getitem__(self, index):
-        return _ApiArray(self._data[index])
-
-    def __setitem__(self, index, value):
-        self._data[index] = value
-
-
-_FAKE_XP = SimpleNamespace(
-    empty=lambda shape, dtype=None: _ApiArray(np.empty(shape, dtype=dtype))
-)
-
-
-def test_arena_generic_namespace_allocates_and_recycles():
-    arena = Arena(xp=_FAKE_XP)
-    assert arena.xp is _FAKE_XP
-    view = arena.buf("plane", (4, 3), np.float64)
-    assert isinstance(view, _ApiArray)
-    assert view.shape == (4, 3)
-    backing = arena._buffers["plane"]
-    # Shrinking rows recycles the same backing allocation.
-    arena.buf("plane", (2, 3), np.float64)
-    assert arena._buffers["plane"] is backing
-    # Growing rows replaces it.
-    arena.buf("plane", (8, 3), np.float64)
-    assert arena._buffers["plane"] is not backing
-
-
-def test_arena_full_works_without_ndarray_fill():
-    arena = Arena(xp=_FAKE_XP)
-    view = arena.full("mask", (3,), np.int64, 7)
-    assert view._data.tolist() == [7, 7, 7]
-
-
-def test_arena_aliasing_check_is_numpy_gated():
-    arena = Arena(xp=_FAKE_XP)
-    arena.buf("a", (4,), np.int64)
-    arena.buf("b", (4,), np.int64)
-    # No shares_memory outside numpy: degrade to a no-op, never a guess.
-    arena.check_aliasing()
-
-
-def test_arena_nbytes_falls_back_to_size_times_itemsize():
-    arena = Arena(xp=_FAKE_XP)
-    arena.buf("a", (5,), np.int64)
-    assert arena.nbytes() == 5 * 8
-
-
-def test_arena_default_is_numpy_and_checks_aliasing():
-    arena = Arena()
-    assert arena.xp is np
-    first = arena.buf("a", (4,), np.int64)
-    arena._buffers["b"] = first  # simulate a bookkeeping bug
-    with pytest.raises(AssertionError, match="alias"):
-        arena.check_aliasing()

@@ -4,15 +4,16 @@ The load-bearing guarantees, each pinned here:
 
 - **Bitwise reproducibility**: ``run_batch`` returns identical reports for
   any ``batch_chunk`` and any ``workers`` value, and each batched trial is
-  identical to running that trial alone through the v2 fast kernel —
+  identical to running that trial alone through ``run(backend="fast")`` —
   batching is an execution detail, never a semantics change.
 - **Dispatch**: homogeneous fast-path sweeps go to the batch kernel;
-  heterogeneous scenarios, v1-matcher requests, and agent-only features
-  fall back per scenario, all folding into the same report list.
-- **Statistical equivalence**: the v1 (sequential permutation scan) and v2
-  (batched) matcher schedules produce convergence-round distributions and
-  success rates that agree within tolerance for ``simple``, ``optimal``,
-  and ``spread``.
+  heterogeneous scenarios and agent-only features fall back per scenario,
+  all folding into the same report list.  Every registry entry has at
+  most one fast entry point.
+- **Statistical equivalence**: the agent engine (the literal v1 matcher:
+  a sequential permutation scan) and the batch kernels (the v2 schedule)
+  produce convergence-round distributions and success rates that agree
+  within tolerance for ``simple``, ``optimal``, and ``spread``.
 """
 
 from __future__ import annotations
@@ -32,14 +33,26 @@ from tests.helpers.equivalence import (
 )
 
 
+#: Workload nests per batched algorithm (the spread process hard-codes the
+#: good nest as nest 1); unlisted algorithms run on four good nests.
+_BATCH_NESTS = {
+    "optimal": NestConfig.all_good(3),
+    "spread": NestConfig.single_good(4, good_nest=1),
+    "quorum": NestConfig.binary(4, {1, 3}),
+    "uniform": NestConfig.binary(4, {1, 3}),
+}
+
+#: Every registry entry with a batch kernel, including any added later.
 BATCHED_ALGORITHMS = [
-    ("simple", NestConfig.all_good(4)),
-    ("optimal", NestConfig.all_good(3)),
-    ("spread", NestConfig.single_good(4, good_nest=1)),
-    ("quorum", NestConfig.binary(4, {1, 3})),
-    ("uniform", NestConfig.binary(4, {1, 3})),
-    ("adaptive", NestConfig.all_good(4)),
+    (entry.name, _BATCH_NESTS.get(entry.name, NestConfig.all_good(4)))
+    for entry in REGISTRY
+    if entry.has_batch
 ]
+
+#: The algorithms that used to accept the retired ``matcher`` param.
+_FORMER_MATCHER_ALGORITHMS = (
+    "simple", "optimal", "spread", "quorum", "uniform", "adaptive"
+)
 
 
 class TestBitwiseReproducibility:
@@ -112,10 +125,33 @@ class TestBitwiseReproducibility:
 
 class TestDispatch:
     def test_registry_batch_kernels_present(self):
-        for name, _ in BATCHED_ALGORITHMS:
-            assert REGISTRY.get(name).has_batch, name
+        batched = {name for name, _ in BATCHED_ALGORITHMS}
+        assert set(_FORMER_MATCHER_ALGORITHMS) <= batched
+        assert {"tagged_recruitment", "initial_split"} <= batched
         for name in ("rumor", "polya", "power_feedback"):
             assert not REGISTRY.get(name).has_batch, name
+
+    def test_one_fast_entry_point_per_entry(self):
+        for entry in REGISTRY:
+            assert entry.fast_kernel is None or entry.batch_kernel is None, (
+                entry.name
+            )
+            assert entry.has_fast == (
+                entry.fast_kernel is not None or entry.batch_kernel is not None
+            )
+
+    def test_registering_both_fast_entry_points_rejected(self):
+        from repro.api.registry import AlgorithmRegistry
+
+        simple = REGISTRY.get("simple")
+        registry = AlgorithmRegistry()
+        with pytest.raises(ConfigurationError, match="one fast entry point"):
+            registry.register(
+                "both",
+                "registers a per-trial and a batch kernel",
+                fast_kernel=lambda scenario, source: None,
+                batch_kernel=simple.batch_kernel,
+            )
 
     def test_quorum_and_uniform_resolve_fast_on_auto(self):
         # The E8 comparison workload no longer falls back to the slow engine.
@@ -125,23 +161,6 @@ class TestDispatch:
         for name in ("quorum", "uniform"):
             scenario = Scenario(algorithm=name, n=32, nests=nests)
             assert resolve_backend(scenario) == "fast", name
-
-    def test_v1_matcher_scenarios_skip_the_batch_kernel(self):
-        scenario = Scenario(
-            algorithm="simple",
-            n=40,
-            nests=NestConfig.all_good(4),
-            seed=2,
-            max_rounds=6000,
-            params={"matcher": "v1"},
-        )
-        entry = REGISTRY.get("simple")
-        assert not entry.supports_batch(scenario)
-        batched = run_batch(scenario.trials(3), workers=1)
-        singles = [run(scenario.trial(t), backend="fast") for t in range(3)]
-        assert_reports_bit_identical(batched, singles, label="v1 singles")
-        for got in batched:
-            assert got.extras["matcher"] == "v1"
 
     def test_heterogeneous_batches_fold_into_one_ordered_list(self):
         nests = NestConfig.all_good(4)
@@ -159,35 +178,25 @@ class TestDispatch:
         for got, expect in zip(reports, singles):
             assert got.converged_round == expect.converged_round
 
-    def test_invalid_matcher_rejected(self):
-        scenario = Scenario(
-            algorithm="simple",
-            n=16,
-            nests=NestConfig.all_good(2),
-            params={"matcher": "v3"},
-        )
-        with pytest.raises(ConfigurationError, match="matcher"):
-            run(scenario, backend="fast")
+    @pytest.mark.parametrize("backend", ["auto", "fast", "agent"])
+    @pytest.mark.parametrize("algorithm", _FORMER_MATCHER_ALGORITHMS)
+    def test_matcher_param_rejected(self, algorithm, backend):
+        # The fast engine runs only the v2 schedule and the agent engine
+        # only v1, so a matcher param is an unknown param everywhere.
+        for matcher in ("v1", "v2", "v3"):
+            scenario = Scenario(
+                algorithm=algorithm,
+                n=16,
+                nests=_BATCH_NESTS.get(algorithm, NestConfig.all_good(4)),
+                params={"matcher": matcher},
+            )
+            with pytest.raises(ConfigurationError, match="does not accept params"):
+                run(scenario, backend=backend)
 
     def test_invalid_batch_chunk_rejected(self):
         scenario = Scenario(algorithm="simple", n=8, nests=NestConfig.all_good(2))
         with pytest.raises(ConfigurationError):
             run_batch([scenario], batch_chunk=0)
-
-    def test_quorum_fast_requires_v2(self):
-        scenario = Scenario(
-            algorithm="quorum",
-            n=32,
-            nests=NestConfig.all_good(4),
-            params={"matcher": "v1"},
-        )
-        from repro.api import resolve_backend
-
-        # auto falls back to the agent engine rather than raising...
-        assert resolve_backend(scenario) == "agent"
-        # ...while forcing the fast backend surfaces the limitation.
-        with pytest.raises(ConfigurationError):
-            run(scenario, backend="fast")
 
     def test_run_stats_rides_the_batch_path(self):
         scenario = Scenario(
@@ -261,11 +270,13 @@ class TestBaselineKernels:
                 assert report.solved == (report.chosen_nest in (1, 3))
 
 
-class TestV1V2StatisticalEquivalence:
+class TestAgentBatchStatisticalEquivalence:
     """Convergence-time distributions and success rates must agree.
 
-    Runs through the shared harness (:mod:`tests.helpers.equivalence`): the
-    composite battery check (binomial success-rate compatibility + KS over
+    The agent engine runs the literal v1 matcher schedule, the batch
+    kernels the v2 schedule (docs/PERFORMANCE.md §3).  Runs through the
+    shared harness (:mod:`tests.helpers.equivalence`): the composite
+    battery check (binomial success-rate compatibility + KS over
     censoring-included round distributions) plus the historical relative-
     median tripwire.
     """
@@ -274,10 +285,8 @@ class TestV1V2StatisticalEquivalence:
         base = Scenario(
             algorithm=algorithm, n=n, nests=nests, seed=42, max_rounds=max_rounds
         )
+        v1 = collect_battery(base, trials, backend="agent")
         v2 = collect_battery(base, trials, backend="fast")
-        v1 = collect_battery(
-            base.replace(params={"matcher": "v1"}), trials, backend="fast"
-        )
         return v1, v2
 
     @pytest.mark.parametrize(
@@ -288,7 +297,7 @@ class TestV1V2StatisticalEquivalence:
         v1, v2 = self._sweep(algorithm, NestConfig.all_good(4), n, trials, max_rounds)
         assert v1.converged.all()
         assert v2.converged.all()
-        assert_batteries_equivalent(v1, v2, label=f"{algorithm} v1-vs-v2")
+        assert_batteries_equivalent(v1, v2, label=f"{algorithm} agent-vs-batch")
         assert_medians_close(v1.rounds, v2.rounds, label=algorithm)
 
     def test_success_rates_match_on_mixed_nests(self):
@@ -302,5 +311,5 @@ class TestV1V2StatisticalEquivalence:
         )
         assert v1.converged.all()
         assert v2.converged.all()
-        assert_batteries_equivalent(v1, v2, label="spread v1-vs-v2")
+        assert_batteries_equivalent(v1, v2, label="spread agent-vs-batch")
         assert_medians_close(v1.rounds, v2.rounds, label="spread")

@@ -1,10 +1,11 @@
 """The PR-1 deprecation timeline, now enforced at runtime.
 
-Importing ``simulate_*`` from the ``repro.fast`` package namespace and
-calling ``run_trial``/``run_trials`` from outside ``repro.sim``/``repro.api``
-emit :class:`DeprecationWarning`.  The test suite at large filters these
+Calling ``run_trial``/``run_trials`` from outside ``repro.sim``/``repro.api``
+emits :class:`DeprecationWarning`.  The test suite at large filters these
 (see ``tests/conftest.py``) because it exercises the substrate on purpose;
-the tests here assert the warnings still fire for outside callers.
+the tests here assert the warnings still fire for outside callers.  The
+package-level ``repro.fast.simulate_*`` shims have completed the timeline
+and are gone.
 """
 
 import warnings
@@ -29,23 +30,6 @@ def _call_as(module_name: str, fn, *args, **kwargs):
 
 
 class TestFastNamespaceImports:
-    def test_simulate_import_warns(self):
-        import repro.fast
-
-        # Clear any cached attribute so __getattr__ runs.
-        assert "simulate_simple" not in vars(repro.fast)
-        with pytest.warns(DeprecationWarning, match="importing simulate_simple"):
-            kernel = repro.fast.simulate_simple
-        from repro.fast.simple_fast import simulate_simple
-
-        assert kernel is simulate_simple
-
-    def test_submodule_imports_stay_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.fast.batch import simulate_simple_batch  # noqa: F401
-            from repro.fast.optimal_fast import simulate_optimal  # noqa: F401
-
     def test_result_types_stay_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -53,12 +37,6 @@ class TestFastNamespaceImports:
 
             assert repro.fast.FastRunResult is not None
             assert repro.fast.SpreadResult is not None
-
-    def test_unknown_attribute_raises(self):
-        import repro.fast
-
-        with pytest.raises(AttributeError):
-            repro.fast.not_a_kernel
 
 
 class TestTrialRunnerCalls:

@@ -11,8 +11,8 @@ from repro.analysis.dynamics import (
     simple_mean_field,
 )
 from repro.exceptions import ConfigurationError
-from repro.fast.simple_fast import simulate_simple
 from repro.model.nests import NestConfig
+from tests.helpers.runs import fast_run, fast_runs
 
 
 class TestMap:
@@ -93,8 +93,8 @@ class TestFitXi:
         assert fit_xi(history) == pytest.approx(xi_true, abs=0.08)
 
     def test_fits_real_simulation_to_plausible_range(self):
-        result = simulate_simple(
-            4096, NestConfig.all_good(4), seed=5, max_rounds=20_000,
+        result = fast_run(
+            "simple", 4096, NestConfig.all_good(4), seed=5, max_rounds=20_000,
             record_history=True,
         )
         xi = fit_xi(result.population_history)
@@ -117,10 +117,9 @@ class TestMeanFieldVsSimulation:
         nests = NestConfig.all_good(k)
         measured = []
         initials = []
-        for seed in range(5):
-            result = simulate_simple(
-                n, nests, seed=seed, max_rounds=20_000, record_history=True
-            )
+        for result in fast_runs(
+            "simple", n, nests, range(5), max_rounds=20_000, record_history=True
+        ):
             measured.append(result.converged_round)
             initials.append(result.population_history[0][1:] / n)
         xi = 0.5

@@ -1,11 +1,40 @@
-"""Tests for the vectorized lower-bound spread simulator."""
+"""Tests for the vectorized lower-bound spread simulator (the ``spread`` batch kernel)."""
 
 import numpy as np
 import pytest
 
 from repro.core.lower_bound import IgnorantPolicy
 from repro.exceptions import ConfigurationError
-from repro.fast.spread_fast import simulate_spread
+from repro.model.nests import NestConfig
+from tests.helpers.runs import fast_run, fast_runs
+
+
+def spread(n, k, policy=IgnorantPolicy.WAIT, seed=0, max_rounds=100_000):
+    """One fast run of the spread process (the good nest is nest 1)."""
+    return fast_run(
+        "spread",
+        n,
+        NestConfig.single_good(k, good_nest=1),
+        seed=seed,
+        max_rounds=max_rounds,
+        params={"policy": policy.value},
+    )
+
+
+def spreads(n, k, policy, seeds, max_rounds=100_000):
+    """One fast run of the spread process per seed, as one batch."""
+    return fast_runs(
+        "spread",
+        n,
+        NestConfig.single_good(k, good_nest=1),
+        seeds,
+        max_rounds=max_rounds,
+        params={"policy": policy.value},
+    )
+
+
+def informed_history(report) -> np.ndarray:
+    return np.asarray(report.extras["informed_history"])
 
 
 class TestBasics:
@@ -13,37 +42,36 @@ class TestBasics:
         "policy", [IgnorantPolicy.WAIT, IgnorantPolicy.SEARCH, IgnorantPolicy.MIXED]
     )
     def test_completes(self, policy):
-        result = simulate_spread(128, 8, policy, seed=0, max_rounds=5000)
-        assert result.all_informed
-        assert result.rounds_to_all_informed is not None
+        result = spread(128, 8, policy, seed=0, max_rounds=5000)
+        assert result.converged
+        assert result.converged_round is not None
 
     def test_reproducible(self):
-        a = simulate_spread(128, 8, seed=4)
-        b = simulate_spread(128, 8, seed=4)
-        assert a.rounds_to_all_informed == b.rounds_to_all_informed
+        a = spread(128, 8, seed=4)
+        b = spread(128, 8, seed=4)
+        assert a.converged_round == b.converged_round
 
     def test_informed_history_monotone(self):
-        result = simulate_spread(256, 8, seed=1)
-        history = result.informed_history
+        history = informed_history(spread(256, 8, seed=1))
         assert (np.diff(history) >= 0).all()
         assert history[-1] == 256
 
     def test_completion_round_matches_history(self):
-        result = simulate_spread(128, 4, seed=2)
-        history = result.informed_history
+        result = spread(128, 4, seed=2)
+        history = informed_history(result)
         first_full = int(np.argmax(history == 128)) + 1  # rounds are 1-based
-        assert result.rounds_to_all_informed == first_full
+        assert result.converged_round == first_full
 
     def test_round_cap(self):
-        result = simulate_spread(4096, 64, IgnorantPolicy.SEARCH, seed=0, max_rounds=3)
-        assert not result.all_informed
-        assert result.completion_round == result.rounds_executed
+        result = spread(4096, 64, IgnorantPolicy.SEARCH, seed=0, max_rounds=3)
+        assert not result.converged
+        assert result.rounds_to_convergence == result.rounds_executed
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            simulate_spread(0, 4)
+            spread(0, 4)
         with pytest.raises(ConfigurationError):
-            simulate_spread(16, 1)
+            spread(16, 1)
 
 
 class TestGrowthShape:
@@ -52,8 +80,8 @@ class TestGrowthShape:
         medians = []
         for n in (256, 1024, 4096):
             rounds = [
-                simulate_spread(n, 8, seed=s).rounds_to_all_informed
-                for s in range(10)
+                r.converged_round
+                for r in spreads(n, 8, IgnorantPolicy.WAIT, range(10))
             ]
             medians.append(float(np.median(rounds)))
         increments = np.diff(medians)
@@ -62,12 +90,12 @@ class TestGrowthShape:
 
     def test_search_policy_slower_than_wait_at_scale(self):
         wait = np.median(
-            [simulate_spread(2048, 16, IgnorantPolicy.WAIT, seed=s).completion_round
-             for s in range(5)]
+            [r.rounds_to_convergence
+             for r in spreads(2048, 16, IgnorantPolicy.WAIT, range(5))]
         )
         search = np.median(
-            [simulate_spread(2048, 16, IgnorantPolicy.SEARCH, seed=s).completion_round
-             for s in range(5)]
+            [r.rounds_to_convergence
+             for r in spreads(2048, 16, IgnorantPolicy.SEARCH, range(5))]
         )
         # Pure searching is coupon-collector-like (k log n expected per ant
         # is 1/k per round); recruitment doubles -- far faster.

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.colony import optimal_factory, simple_factory
-from repro.fast.optimal_fast import simulate_optimal
-from repro.fast.simple_fast import simulate_simple
 from repro.model.nests import NestConfig
 from repro.sim.convergence import CommittedToSingleGoodNest
 from repro.sim.run import run_trial
+from tests.helpers.runs import fast_run, fast_runs
 
 
 WORKLOADS = [
@@ -30,7 +29,7 @@ class TestSimpleAcrossWorkloads:
     @pytest.mark.parametrize("name,n,nests", WORKLOADS, ids=[w[0] for w in WORKLOADS])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fast_engine(self, name, n, nests, seed):
-        result = simulate_simple(n, nests, seed=seed, max_rounds=20_000)
+        result = fast_run("simple", n, nests, seed=seed, max_rounds=20_000)
         assert result.converged
         assert nests.is_good(result.chosen_nest)
 
@@ -53,7 +52,7 @@ class TestOptimalAcrossWorkloads:
     @pytest.mark.parametrize("name,n,nests", WORKLOADS, ids=[w[0] for w in WORKLOADS])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fast_engine(self, name, n, nests, seed):
-        result = simulate_optimal(n, nests, seed=seed, max_rounds=20_000)
+        result = fast_run("optimal", n, nests, seed=seed, max_rounds=20_000)
         assert result.converged
         assert nests.is_good(result.chosen_nest)
 
@@ -65,28 +64,28 @@ class TestPaperHeadlineShapes:
         """Theorem 4.3 vs 5.11: at large k, O(log n) beats O(k log n)."""
         nests = NestConfig.all_good(24)
         optimal = [
-            simulate_optimal(1024, nests, seed=s, max_rounds=50_000).converged_round
-            for s in range(6)
+            r.converged_round
+            for r in fast_runs("optimal", 1024, nests, range(6), max_rounds=50_000)
         ]
         simple = [
-            simulate_simple(1024, nests, seed=s, max_rounds=50_000).converged_round
-            for s in range(6)
+            r.converged_round
+            for r in fast_runs("simple", 1024, nests, range(6), max_rounds=50_000)
         ]
         assert np.median(optimal) < np.median(simple)
 
     def test_simple_rounds_grow_with_k(self):
         """Theorem 5.11's O(k log n): k=32 takes longer than k=2."""
         small_k = [
-            simulate_simple(
-                512, NestConfig.all_good(2), seed=s, max_rounds=50_000
-            ).converged_round
-            for s in range(6)
+            r.converged_round
+            for r in fast_runs(
+                "simple", 512, NestConfig.all_good(2), range(6), max_rounds=50_000
+            )
         ]
         large_k = [
-            simulate_simple(
-                512, NestConfig.all_good(32), seed=s, max_rounds=50_000
-            ).converged_round
-            for s in range(6)
+            r.converged_round
+            for r in fast_runs(
+                "simple", 512, NestConfig.all_good(32), range(6), max_rounds=50_000
+            )
         ]
         assert np.median(large_k) > np.median(small_k)
 
@@ -94,18 +93,20 @@ class TestPaperHeadlineShapes:
         """Theorem 4.3: k enters only through O(log k)."""
         small_k = np.median(
             [
-                simulate_optimal(
-                    1024, NestConfig.all_good(2), seed=s, max_rounds=50_000
-                ).converged_round
-                for s in range(6)
+                r.converged_round
+                for r in fast_runs(
+                    "optimal", 1024, NestConfig.all_good(2), range(6),
+                    max_rounds=50_000,
+                )
             ]
         )
         large_k = np.median(
             [
-                simulate_optimal(
-                    1024, NestConfig.all_good(32), seed=s, max_rounds=50_000
-                ).converged_round
-                for s in range(6)
+                r.converged_round
+                for r in fast_runs(
+                    "optimal", 1024, NestConfig.all_good(32), range(6),
+                    max_rounds=50_000,
+                )
             ]
         )
         assert large_k <= 2.5 * small_k
@@ -113,12 +114,12 @@ class TestPaperHeadlineShapes:
 
 class TestDegenerateCases:
     def test_one_ant_one_nest_simple(self):
-        result = simulate_simple(1, NestConfig.all_good(1), seed=0, max_rounds=100)
+        result = fast_run("simple", 1, NestConfig.all_good(1), seed=0, max_rounds=100)
         assert result.converged
 
     def test_two_ants_two_nests_both_engines(self):
         nests = NestConfig.all_good(2)
-        fast = simulate_simple(2, nests, seed=3, max_rounds=4000)
+        fast = fast_run("simple", 2, nests, seed=3, max_rounds=4000)
         agent = run_trial(simple_factory(), 2, nests, seed=3, max_rounds=4000)
         assert fast.converged and agent.converged
 
@@ -128,7 +129,7 @@ class TestDegenerateCases:
         the retrying extension fixes."""
         nests = NestConfig.binary(16, {16})
         outcomes = [
-            simulate_simple(4, nests, seed=s, max_rounds=300).converged
-            for s in range(12)
+            r.converged
+            for r in fast_runs("simple", 4, nests, range(12), max_rounds=300)
         ]
         assert not all(outcomes)

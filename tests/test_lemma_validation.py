@@ -9,10 +9,22 @@ margins so the tests are deterministic in practice at the given seeds.
 import numpy as np
 
 from repro.core.lower_bound import IgnorantPolicy
-from repro.fast.simple_fast import simulate_simple
-from repro.fast.spread_fast import simulate_spread
 from repro.model.nests import NestConfig
 from repro.model.recruitment import match_arrays
+from tests.helpers.runs import fast_runs
+
+
+def informed_histories(n, k, seeds, max_rounds):
+    """Informed-ant curves of fast spread runs (WAIT policy, good nest 1)."""
+    reports = fast_runs(
+        "spread",
+        n,
+        NestConfig.single_good(k, good_nest=1),
+        seeds,
+        max_rounds=max_rounds,
+        params={"policy": IgnorantPolicy.WAIT.value},
+    )
+    return [np.asarray(r.extras["informed_history"]) for r in reports]
 
 
 class TestLemma31IgnorancePersistence:
@@ -24,11 +36,7 @@ class TestLemma31IgnorancePersistence:
         # home where recruitment pressure is maximal).
         stayed = 0
         exposed = 0
-        for seed in range(20):
-            result = simulate_spread(
-                256, 4, IgnorantPolicy.WAIT, seed=seed, max_rounds=4000
-            )
-            history = result.informed_history
+        for history in informed_histories(256, 4, range(20), max_rounds=4000):
             ignorant = 256 - history
             for r in range(len(history) - 1):
                 if ignorant[r] > 0:
@@ -42,10 +50,7 @@ class TestLemma31IgnorancePersistence:
         # survival than late rounds (many recruiters) — the monotonicity
         # behind the lemma's worst-case constant.
         early, late = [], []
-        for seed in range(20):
-            history = simulate_spread(
-                512, 8, IgnorantPolicy.WAIT, seed=seed, max_rounds=4000
-            ).informed_history
+        for history in informed_histories(512, 8, range(20), max_rounds=4000):
             ignorant = 512 - history
             mid = len(history) // 2
             if ignorant[1] > 0:
@@ -62,14 +67,14 @@ class TestLemma52RateOrdering:
 
     def test_bigger_nest_grows_at_smaller_nests_expense(self):
         gains_big, gains_small = [], []
-        for seed in range(30):
-            result = simulate_simple(
-                2048,
-                NestConfig.all_good(4),
-                seed=seed,
-                max_rounds=4000,
-                record_history=True,
-            )
+        for result in fast_runs(
+            "simple",
+            2048,
+            NestConfig.all_good(4),
+            range(30),
+            max_rounds=4000,
+            record_history=True,
+        ):
             shares = result.population_history[::2, 1:].astype(float) / 2048
             for row in range(min(6, len(shares) - 1)):
                 current, nxt = shares[row], shares[row + 1]
@@ -89,14 +94,14 @@ class TestLemma57GapAmplification:
         k, n, d = 4, 4096, 64
         threshold = 1.0 / (d * k)
         ratios = []
-        for seed in range(25):
-            result = simulate_simple(
-                n,
-                NestConfig.all_good(k),
-                seed=seed,
-                max_rounds=4000,
-                record_history=True,
-            )
+        for result in fast_runs(
+            "simple",
+            n,
+            NestConfig.all_good(k),
+            range(25),
+            max_rounds=4000,
+            record_history=True,
+        ):
             shares = result.population_history[::2, 1:].astype(float) / n
             for row in range(len(shares) - 1):
                 current, nxt = shares[row], shares[row + 1]

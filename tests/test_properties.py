@@ -13,6 +13,7 @@ from repro.analysis.stats import wilson_interval
 from repro.model.nests import NestConfig
 from repro.model.recruitment import match_arrays
 from repro.sim.rng import RandomSource
+from tests.helpers.runs import fast_run
 
 
 @st.composite
@@ -102,10 +103,8 @@ class TestSimulationProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_simple_algorithm_total_population_invariant(self, n, k, seed):
-        from repro.fast.simple_fast import simulate_simple
-
-        result = simulate_simple(
-            n, NestConfig.all_good(k), seed=seed, max_rounds=4000,
+        result = fast_run(
+            "simple", n, NestConfig.all_good(k), seed=seed, max_rounds=4000,
             record_history=True,
         )
         history = result.population_history
@@ -122,10 +121,8 @@ class TestSimulationProperties:
     )
     @settings(max_examples=15, deadline=None)
     def test_optimal_algorithm_population_invariant(self, n, k, seed):
-        from repro.fast.optimal_fast import simulate_optimal
-
-        result = simulate_optimal(
-            n, NestConfig.all_good(k), seed=seed, max_rounds=4000,
+        result = fast_run(
+            "optimal", n, NestConfig.all_good(k), seed=seed, max_rounds=4000,
             record_history=True,
         )
         history = result.population_history

@@ -26,15 +26,15 @@ def _params(scenario, **defaults):
 
 
 def _alpha_kwargs(scenario):
-    return _params(scenario, matcher="v2", rate=1.0)
+    return _params(scenario, width=2, rate=1.0)
 
 
-def _alpha_fast(scenario, source):
+def _alpha_trial(scenario):
     return _alpha_kwargs(scenario)
 
 
 def _alpha_batch(scenarios):
-    return [_alpha_fast(s, None) for s in scenarios]
+    return [_alpha_trial(s) for s in scenarios]
 
 
 def _beta_agent(scenario):
@@ -45,9 +45,8 @@ def register_builtin_algorithms(registry):
     registry.register(
         "alpha",
         "fixture kernel",
-        fast_kernel=_alpha_fast,
         batch_kernel=_alpha_batch,
-        params=("matcher", "rate"),
+        params=("rate", "width"),
     )
     registry.register(
         "beta",
@@ -109,7 +108,7 @@ def test_healthy_fixture_tree_is_clean(tmp_path):
 
 
 def test_r301_undeclared_accepted_param(tmp_path):
-    broken = ALGORITHMS_PY.replace('params=("matcher", "rate"),', "")
+    broken = ALGORITHMS_PY.replace('params=("rate", "width"),', "")
     findings = check(build_tree(tmp_path, algorithms=broken))
     assert rules_of(findings) == ["R301"]
     assert "alpha" in findings[0].message and "rate" in findings[0].message
@@ -155,9 +154,11 @@ def test_r302_stale_digest_entry(tmp_path):
 
 
 def test_r303_fast_kernel_without_parity_test(tmp_path):
-    # A fast-only entry (no batch kernel, so no golden case naming it)
-    # that no parity-bearing test module mentions.
-    algorithms = ALGORITHMS_PY.replace("        batch_kernel=_alpha_batch,\n", "")
+    # A per-trial fast entry (no batch kernel, so no golden case naming
+    # it) that no parity-bearing test module mentions.
+    algorithms = ALGORITHMS_PY.replace(
+        "batch_kernel=_alpha_batch,", "fast_kernel=_alpha_trial,"
+    )
     golden = GOLDEN_PY.replace(
         '"alpha_clean": lambda: _case(algorithm="alpha"),',
         '"other": lambda: _case(),',
@@ -174,6 +175,23 @@ def test_r303_fast_kernel_without_parity_test(tmp_path):
     )
     assert rules_of(findings) == ["R303"]
     assert "alpha" in findings[0].message
+
+
+def test_r303_batch_only_entry_without_parity_test(tmp_path):
+    """A batch kernel is a fast kernel too: uncovered, R303 flags it."""
+    golden = GOLDEN_PY.replace(
+        '"alpha_clean": lambda: _case(algorithm="alpha"),',
+        '"other": lambda: _case(),',
+    )
+    parity = PARITY_TEST_PY.replace("alpha", "something_else")
+    findings = check(
+        build_tree(
+            tmp_path, golden=golden, digests={"other": "0" * 64}, parity=parity
+        )
+    )
+    assert rules_of(findings) == ["R302", "R303"]
+    r303 = [f for f in findings if f.rule == "R303"]
+    assert len(r303) == 1 and "alpha" in r303[0].message
 
 
 def test_golden_case_counts_as_parity_coverage(tmp_path):
@@ -214,5 +232,5 @@ def test_real_registry_declares_params_for_every_entry():
 
     with_params = {e.name for e in REGISTRY if e.param_names}
     assert {"simple", "optimal", "quorum", "tagged_recruitment"} <= with_params
-    assert REGISTRY.get("simple").param_names == ("kernel_backend", "matcher")
+    assert REGISTRY.get("simple").param_names == ("kernel_backend",)
     assert REGISTRY.get("initial_split").param_names == ()

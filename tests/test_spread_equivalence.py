@@ -11,9 +11,9 @@ import pytest
 
 from repro.core.colony import informed_spread_factory
 from repro.core.lower_bound import IgnorantPolicy
-from repro.fast.spread_fast import simulate_spread
 from repro.model.nests import NestConfig
 from repro.sim.run import run_trials
+from tests.helpers.runs import fast_runs
 
 
 @pytest.mark.parametrize(
@@ -30,13 +30,17 @@ def test_spread_distributional_match(policy):
         base_seed=21,
         max_rounds=2000,
     )
-    fast = [
-        simulate_spread(n, k, policy, seed=3000 + s, max_rounds=2000)
-        for s in range(trials)
-    ]
-    fast_median = float(np.median([r.rounds_to_all_informed for r in fast]))
+    fast = fast_runs(
+        "spread",
+        n,
+        nests,
+        range(3000, 3000 + trials),
+        max_rounds=2000,
+        params={"policy": policy.value},
+    )
+    fast_median = float(np.median([r.converged_round for r in fast]))
     assert agent.success_rate == 1.0
-    assert all(r.all_informed for r in fast)
+    assert all(r.converged for r in fast)
     assert abs(fast_median - agent.median_rounds) <= 0.4 * max(
         fast_median, agent.median_rounds
     )
@@ -50,8 +54,14 @@ def test_fast_spread_search_policy_matches_coupon_collector_scale():
     n, k = 512, 8
     expected = k * np.log(n)
     rounds = [
-        simulate_spread(n, k, IgnorantPolicy.SEARCH, seed=s).completion_round
-        for s in range(10)
+        r.rounds_to_convergence
+        for r in fast_runs(
+            "spread",
+            n,
+            NestConfig.single_good(k, good_nest=1),
+            range(10),
+            params={"policy": IgnorantPolicy.SEARCH.value},
+        )
     ]
     measured = float(np.median(rounds))
     assert expected / 2 <= measured <= expected * 2

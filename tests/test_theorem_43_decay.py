@@ -9,8 +9,8 @@ decay beats the paper's bound, and at least one nest always survives.
 import numpy as np
 
 from repro.analysis.theory import theorem_4_3_block_decay
-from repro.fast.optimal_fast import simulate_optimal
 from repro.model.nests import NestConfig
+from tests.helpers.runs import fast_runs
 
 
 def surviving_series(history: np.ndarray) -> list[int]:
@@ -28,10 +28,10 @@ class TestSurvivorDecay:
     def collect(self, n=2048, k=16, trials=20):
         nests = NestConfig.all_good(k)
         transitions = []
-        for seed in range(trials):
-            result = simulate_optimal(
-                n, nests, seed=seed, max_rounds=20_000, record_history=True
-            )
+        for result in fast_runs(
+            "optimal", n, nests, range(trials), max_rounds=20_000,
+            record_history=True,
+        ):
             series = surviving_series(result.population_history)
             transitions.extend(zip(series, series[1:]))
         return transitions

@@ -5,10 +5,10 @@ import pytest
 
 from repro.baselines.uniform import UniformRecruitAnt, uniform_factory
 from repro.exceptions import ConfigurationError
-from repro.fast.simple_fast import simulate_simple
 from repro.model.actions import SearchResult
 from repro.model.nests import NestConfig
 from repro.sim.run import run_trial, run_trials
+from tests.helpers.runs import fast_runs
 
 
 class TestAnt:
@@ -53,7 +53,7 @@ class TestDynamics:
             max_rounds=20_000,
         )
         simple_rounds = [
-            simulate_simple(64, nests, seed=s, max_rounds=20_000).converged_round
-            for s in range(5)
+            r.converged_round
+            for r in fast_runs("simple", 64, nests, range(5), max_rounds=20_000)
         ]
         assert ablation.median_rounds > 3 * np.median(simple_rounds)

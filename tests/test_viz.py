@@ -5,8 +5,8 @@ import pytest
 
 from repro.analysis.viz import final_share_chart, population_chart, share_bar, sparkline
 from repro.exceptions import ConfigurationError
-from repro.fast.simple_fast import simulate_simple
 from repro.model.nests import NestConfig
+from tests.helpers.runs import fast_run
 
 
 class TestSparkline:
@@ -50,8 +50,8 @@ class TestShareBar:
 
 class TestCharts:
     def test_population_chart_from_real_run(self):
-        result = simulate_simple(
-            64, NestConfig.all_good(3), seed=0, max_rounds=4000,
+        result = fast_run(
+            "simple", 64, NestConfig.all_good(3), seed=0, max_rounds=4000,
             record_history=True,
         )
         chart = population_chart(result.population_history)

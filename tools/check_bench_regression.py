@@ -19,9 +19,9 @@ skipped with a notice — ratios across different workloads are noise.
 Absolute throughput metrics (``*_per_sec``) are additionally skipped when
 the ``machine`` fingerprint differs from the baseline's: a committed
 dev-machine number says nothing about a CI runner's hardware.  Portable
-*ratio* metrics (e.g. ``batch_speedup_vs_v1``, both sides measured in the
-same session on the same machine) are always compared.  Missing baselines
-(first commit of a record) pass trivially.
+*ratio* metrics (both sides measured in the same session on the same
+machine) are always compared.  Missing baselines (first commit of a
+record) pass trivially.
 
 Exit status: 0 = no regression, 1 = regression, 2 = usage/environment error.
 """
