@@ -57,7 +57,7 @@ def _config(quick_mode: bool) -> dict:
 #: backend seam (the round loop itself is the two-sub-round numpy fast
 #: path), so these rows ledger the resolver's cost, not a full-kernel
 #: swap.  Toolchain-dependent rows are conditional: skip-not-fail.
-BACKEND_ROWS = ("numba", "cext", "numpy")
+BACKEND_ROWS = ("cext", "numpy")
 
 
 def _record(

@@ -102,7 +102,7 @@ def update_bench_json(
         # like the absolute *_per_sec metrics.
         payload["machine_dependent"] = sensitive
     if optional:
-        # Metrics only some hosts can produce (e.g. the numba backend
+        # Metrics only some hosts can produce (e.g. the cext backend
         # row): the regression checker tolerates their absence from a
         # fresh run instead of treating a lost row as a lost capability.
         payload["conditional"] = optional

@@ -81,11 +81,11 @@ def _delay_scenario(seed: int) -> Scenario:
     )
 
 
-#: Backends that get their own delay-workload throughput row.  ``numba``
-#: and ``cext`` need host toolchains, so their rows are *conditional*:
-#: recorded where the backend exists, tolerated as absent elsewhere
-#: (skip-not-fail, both here and in the regression checker).
-BACKEND_ROWS = ("numba", "cext", "numpy")
+#: Backends that get their own delay-workload throughput row.  ``cext``
+#: needs a host C compiler, so its row is *conditional*: recorded where
+#: the backend exists, tolerated as absent elsewhere (skip-not-fail, both
+#: here and in the regression checker).
+BACKEND_ROWS = ("cext", "numpy")
 
 
 def _record(quick_mode: bool, **metrics: float) -> None:
@@ -294,15 +294,14 @@ def test_record_speedup(quick_mode):
             f"the PR-4 record ({PR4_DELAY_TRIALS_PER_SEC})"
         )
     # The PR-9 backend-seam gates, one per recorded backend row: the
-    # compiled realizations must double the PR-5 numpy record, while the
+    # compiled realization must double the PR-5 numpy record, while the
     # numpy fallback itself must not rot below its own PR-5 gate.
-    for backend in ("numba", "cext"):
-        compiled = metrics.get(f"delay_batch_trials_per_sec_{backend}")
-        if compiled is not None:
-            assert compiled >= 2.0 * PR5_DELAY_TRIALS_PER_SEC, (
-                f"{backend} delay throughput {compiled:.1f} trials/sec fell "
-                f"below 2x the PR-5 record ({PR5_DELAY_TRIALS_PER_SEC})"
-            )
+    compiled = metrics.get("delay_batch_trials_per_sec_cext")
+    if compiled is not None:
+        assert compiled >= 2.0 * PR5_DELAY_TRIALS_PER_SEC, (
+            f"cext delay throughput {compiled:.1f} trials/sec fell "
+            f"below 2x the PR-5 record ({PR5_DELAY_TRIALS_PER_SEC})"
+        )
     numpy_row = metrics.get("delay_batch_trials_per_sec_numpy")
     if numpy_row is not None:
         assert numpy_row >= 2.0 * PR4_DELAY_TRIALS_PER_SEC, (

@@ -1,20 +1,16 @@
-"""Sweep/Study layer overhead: cold vs warm execution, supervision tax.
+"""Sweep/Study layer overhead: cold vs warm execution.
 
 Runs one representative study (an ``n`` x ``k`` grid of Algorithm 3 on the
-batch fast path) under three regimes:
+batch fast path) under two regimes:
 
 - **cold** — every cell simulates through ``run_batch``;
 - **warm** — every cell is served from the cache; the run must execute
-  **zero** simulations (asserted) and return a bit-identical table;
-- **supervised vs plain** — the same study on a 2-worker pool with and
-  without the supervised dispatcher (deadlines, retry bookkeeping); on the
-  clean path the resilience machinery must be nearly free.
+  **zero** simulations (asserted) and return a bit-identical table.
 
 Records ``cold_cells_per_sec`` (machine-absolute; compared only on
-matching hardware) plus two machine-portable ratios, ``warm_speedup``
-(cold/warm) and ``sweep_recovery_overhead`` (supervised/plain wall time,
-lower is better — gated at <=1.05 under ``REPRO_BENCH_STRICT=1``), in
-``BENCH_sweep.json`` for ``tools/check_bench_regression.py``.
+matching hardware) plus the machine-portable ratio ``warm_speedup``
+(cold/warm) in ``BENCH_sweep.json`` for
+``tools/check_bench_regression.py``.
 
 Run with::
 
@@ -23,13 +19,11 @@ Run with::
 
 from __future__ import annotations
 
-import os
 import time
 
 from bench_json import update_bench_json
 
 from repro.api import (
-    ExecutionPolicy,
     ResultCache,
     Study,
     Sweep,
@@ -63,17 +57,6 @@ def _study(quick_mode: bool) -> Study:
         trials=trials,
         backend="fast",
         metrics=("n_trials", "success_rate", "median_rounds"),
-    )
-
-
-def _record(study: Study, quick_mode: bool, n_cells: int, **metrics: float) -> None:
-    # Both tests in this module feed one record; the config dicts must be
-    # identical or update_bench_json resets the file between them.
-    update_bench_json(
-        "sweep",
-        "quick" if quick_mode else "full",
-        {"cells": n_cells, "trials_per_cell": study.trials},
-        metrics,
     )
 
 
@@ -113,55 +96,10 @@ def test_study_cold_vs_warm(benchmark, quick_mode, tmp_path):
     benchmark.extra_info["cold_seconds"] = round(cold_elapsed, 3)
     benchmark.extra_info["warm_seconds"] = round(warm_elapsed, 4)
     benchmark.extra_info["warm_speedup"] = round(speedup, 1)
-    _record(
-        study,
-        quick_mode,
-        n_cells,
-        cold_cells_per_sec=n_cells / cold_elapsed,
-        warm_speedup=speedup,
+    update_bench_json(
+        "sweep",
+        "quick" if quick_mode else "full",
+        {"cells": n_cells, "trials_per_cell": study.trials},
+        {"cold_cells_per_sec": n_cells / cold_elapsed, "warm_speedup": speedup},
     )
 
-
-def _supervised_vs_plain(study: Study):
-    # Interleaved best-of-3: both sides sample the same thermal/cache
-    # conditions, so the ratio isolates the supervision machinery (per
-    # chunk: a deadline on the result wait, attempt bookkeeping,
-    # parent-assigned segment names) rather than machine drift.
-    plain_policy = ExecutionPolicy(supervise=False)
-    supervised_policy = ExecutionPolicy(chunk_timeout=600.0)
-    plain_best = supervised_best = float("inf")
-    plain = supervised = None
-    for _ in range(3):
-        start = time.perf_counter()
-        plain = run_study(study, cache=None, workers=2, policy=plain_policy)
-        plain_best = min(plain_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        supervised = run_study(
-            study, cache=None, workers=2, policy=supervised_policy
-        )
-        supervised_best = min(supervised_best, time.perf_counter() - start)
-    return plain, plain_best, supervised, supervised_best
-
-
-def test_supervised_clean_path_overhead(benchmark, quick_mode):
-    """Supervised dispatch tax on a fault-free study (target: <=5%)."""
-    study = _study(quick_mode)
-
-    plain, plain_best, supervised, supervised_best = benchmark.pedantic(
-        _supervised_vs_plain, args=(study,), rounds=1, iterations=1
-    )
-
-    # Supervision must be bit-invisible, not just cheap.
-    assert plain.table.equals(supervised.table)
-    assert supervised.quarantined == ()
-
-    overhead = supervised_best / plain_best if plain_best > 0 else 1.0
-    benchmark.extra_info["plain_seconds"] = round(plain_best, 3)
-    benchmark.extra_info["supervised_seconds"] = round(supervised_best, 3)
-    benchmark.extra_info["sweep_recovery_overhead"] = round(overhead, 3)
-    _record(study, quick_mode, len(plain.cells), sweep_recovery_overhead=overhead)
-    if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        assert overhead <= 1.05, (
-            f"supervised clean-path overhead {overhead:.3f} exceeds 1.05 "
-            f"(plain {plain_best:.3f}s, supervised {supervised_best:.3f}s)"
-        )

@@ -52,7 +52,7 @@ from repro.api.report import RunReport
 from repro.api.results import ResultTable
 from repro.api.runner import (
     BACKENDS,
-    TRANSPORTS,
+    ExecutionPolicy,
     WorkerPool,
     aggregate,
     default_batch_chunk,
@@ -63,7 +63,7 @@ from repro.api.runner import (
     run_stats,
 )
 from repro.api.scenario import CRITERION_NAMES, Scenario
-from repro.api.scheduler import CellScheduler, ExecutionPolicy
+from repro.api.scheduler import CellScheduler
 from repro.api.sweep import (
     METRICS,
     STUDIES,
@@ -114,7 +114,6 @@ __all__ = [
     "Study",
     "StudyResult",
     "Sweep",
-    "TRANSPORTS",
     "WorkerPool",
     "aggregate",
     "cases",

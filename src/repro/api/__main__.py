@@ -174,11 +174,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "it as a failure row",
     )
     parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help="disable worker supervision (pre-resilience dispatch)",
-    )
-    parser.add_argument(
         "--csv", action="store_true", help="emit the result table as CSV"
     )
     parser.add_argument(
@@ -196,8 +191,6 @@ def _build_policy(args: argparse.Namespace) -> ExecutionPolicy | None:
         overrides["max_retries"] = args.max_retries
     if args.fail_fast:
         overrides["quarantine"] = False
-    if args.no_supervise:
-        overrides["supervise"] = False
     return ExecutionPolicy(**overrides) if overrides else None
 
 

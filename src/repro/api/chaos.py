@@ -16,7 +16,7 @@ An entry is a JSON object::
      "attempt": 0,         # retry attempt number, or "*" / [0, 1]
      "kind": "batch",      # task kind ("batch"/"single"), or "*"
      "phase": "start",     # "start" (before simulating) or "result"
-                           # (after the shm segment exists, before return)
+                           # (after packing the chunk, before return)
      "action": "kill",     # kill | stall | raise | flake
      "seconds": 30}        # stall duration (stall only)
 

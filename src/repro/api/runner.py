@@ -5,7 +5,10 @@
 additionally detects *homogeneous* runs of scenarios (same workload,
 differing only in seed/trial index), simulates them trial-parallel through
 the registered batch kernels (:mod:`repro.fast.batch`) in chunks, and fans
-chunks and leftovers out over worker processes.  Because every scenario's
+chunks and leftovers out over worker processes along one path: the
+supervised dispatcher (:func:`_dispatch_supervised`, configured by an
+:class:`ExecutionPolicy`), with batch chunks shipped back as packed
+columns (:mod:`repro.api.transport`).  Because every scenario's
 randomness is a pure function of its ``(seed, trial_index)`` (see
 :class:`~repro.sim.rng.RandomSource`) and the batch kernels draw strictly
 per trial, batch results are bit-identical for any worker count, chunk
@@ -28,12 +31,14 @@ Backend selection (``backend="auto"``):
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Iterable, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +48,6 @@ from repro.api.scenario import Scenario
 from repro.exceptions import (
     ChunkTimeout,
     ConfigurationError,
-    ExecutionError,
     WorkerCrash,
     is_retryable,
 )
@@ -51,9 +55,6 @@ from repro.fast.arena import maybe_trim
 from repro.fast.tiling import resolve_tile_width
 from repro.sim.engine import RoundHook
 from repro.sim.run import TrialStats, run_trial
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.scheduler import ExecutionPolicy
 
 BACKENDS = ("auto", "agent", "fast")
 
@@ -221,6 +222,76 @@ def default_batch_chunk(n: int) -> int:
     return max(1, min(scratch_term, MAX_STATE_ELEMS // n))
 
 
+@dataclass(frozen=True)
+class ExecutionPolicy:
+    """How parallel dispatch (and the cell scheduler) handles failure.
+
+    Every parallel :func:`run_batch` call is supervised under a policy;
+    the default one is ``ExecutionPolicy()``.  Chunks get deadlines only
+    if ``chunk_timeout`` is set (``None`` waits forever — a deadline that
+    could fire on a slow-but-healthy machine would be a false positive),
+    substrate faults retry with deterministic exponential backoff, and
+    :class:`~repro.api.scheduler.CellScheduler` quarantines a hopeless
+    cell rather than aborting the study.
+
+    ``sleep`` exists for tests: deterministic backoff schedules are
+    asserted by injecting a recorder instead of actually sleeping.
+    """
+
+    #: Per-chunk deadline in seconds (``None``: no deadline).
+    chunk_timeout: float | None = None
+    #: Chunk-level retries after a worker death / blown deadline.
+    max_retries: int = 2
+    #: Backoff before retry ``k`` is ``backoff_base * backoff_factor**(k-1)``,
+    #: capped at ``backoff_max`` seconds.
+    backoff_base: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_max: float = 2.0
+    #: Cell-level attempts before degradation/quarantine.
+    quarantine_after: int = 2
+    #: Fall back to the agent engine for a repeatedly-crashing fast cell.
+    degrade_to_agent: bool = True
+    #: Record exhausted cells as failure rows (False: raise CellQuarantined).
+    quarantine: bool = True
+    #: Injection point for the backoff sleep (tests record, prod sleeps).
+    sleep: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
+            raise ConfigurationError(
+                f"chunk_timeout must be positive, got {self.chunk_timeout}"
+            )
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.backoff_base < 0:
+            raise ConfigurationError(
+                f"backoff_base must be >= 0, got {self.backoff_base}"
+            )
+        if self.backoff_factor < 1.0:
+            raise ConfigurationError(
+                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+            )
+        if self.backoff_max < 0:
+            raise ConfigurationError(
+                f"backoff_max must be >= 0, got {self.backoff_max}"
+            )
+        if self.quarantine_after < 1:
+            raise ConfigurationError(
+                f"quarantine_after must be >= 1, got {self.quarantine_after}"
+            )
+
+    def backoff_delay(self, attempt: int) -> float:
+        """Seconds to wait before retry ``attempt`` (1-based; 0 for <= 0)."""
+        if attempt <= 0 or self.backoff_base == 0:
+            return 0.0
+        return min(
+            self.backoff_max,
+            self.backoff_base * self.backoff_factor ** (attempt - 1),
+        )
+
+
 class WorkerPool:
     """A persistent process pool reused across ``run_batch`` calls.
 
@@ -263,9 +334,7 @@ class WorkerPool:
         The supervised dispatcher's recovery primitive: after a chunk
         deadline or a ``BrokenProcessPool`` the surviving workers cannot
         be trusted (one may be wedged mid-chunk), so the whole cohort is
-        SIGKILLed and *joined* — the join guarantees no worker can create
-        a shared-memory segment after the parent starts unlinking the
-        failed chunks' segments.  The pool object stays usable: the next
+        SIGKILLed and joined.  The pool object stays usable: the next
         :meth:`executor` call respawns a fresh cohort.
         """
         executor, self._executor = self._executor, None
@@ -322,21 +391,8 @@ def _run_task(task: _Task) -> list[RunReport]:
     return entry.batch_kernel(chunk)
 
 
-#: Parent-assigned shared-memory segment names: ``repro<pid>s<seq>``.
-#: Deterministic per-process naming (no ``uuid``) lets the parent unlink
-#: the in-flight segment of a worker that died mid-chunk — the fix for
-#: the "killed worker leaks /dev/shm" hole.
-_SEGMENT_SEQ = itertools.count()
-
-
-def _segment_name() -> str:
-    return f"repro{os.getpid()}s{next(_SEGMENT_SEQ)}"
-
-
 def _run_task_packed(
     task: _Task,
-    shm: bool = False,
-    shm_name: str | None = None,
     chaos_scope: str | None = None,
     chaos_task: int = 0,
     attempt: int = 0,
@@ -344,10 +400,7 @@ def _run_task_packed(
     """Worker-side target: batch chunks return packed numpy columns.
 
     Packing drops the per-report Python object graph from the result pipe
-    (the parent rebuilds reports from the scenarios it already holds);
-    with ``shm`` the columns of large chunks move through a
-    ``multiprocessing.shared_memory`` segment — named ``shm_name`` by the
-    parent, so a killed worker's in-flight segment is still unlinkable.
+    (the parent rebuilds reports from the scenarios it already holds).
     Singles still return their reports directly — they can carry
     agent-engine payloads the packer doesn't speak.
 
@@ -356,7 +409,7 @@ def _run_task_packed(
     the supervision path without touching the parent.
     """
     from repro.api import chaos
-    from repro.api.transport import maybe_to_shm, pack_reports
+    from repro.api.transport import pack_reports
 
     chaos.maybe_inject(chaos_scope, chaos_task, attempt, task[0], "start")
     reports = _run_task(task)
@@ -367,101 +420,23 @@ def _run_task_packed(
     if task[0] != "batch":
         return reports
     packed = pack_reports(reports)
-    if shm:
-        packed = maybe_to_shm(packed, name=shm_name)
     chaos.maybe_inject(chaos_scope, chaos_task, attempt, task[0], "result")
     return packed
 
 
 def _resolve_task_result(result: object, task: _Task) -> list[RunReport]:
     """Parent-side inverse of :func:`_run_task_packed`."""
-    from repro.api.transport import from_shm, is_shm_descriptor, unpack_reports
+    from repro.api.transport import unpack_reports
 
     if isinstance(result, list):
         return result
-    if is_shm_descriptor(result):
-        try:
-            result = from_shm(result)
-        except FileNotFoundError as exc:
-            raise WorkerCrash(
-                f"shared-memory segment {result['shm']!r} vanished before "
-                "the parent could read it"
-            ) from exc
     return unpack_reports(result, task[1])
-
-
-def _reap_if_broken(executor) -> None:
-    """SIGKILL and join a broken executor's workers before shm cleanup.
-
-    When a pool breaks, its futures fail *before* the executor finishes
-    terminating sibling workers — one of them may still be inside
-    ``maybe_to_shm``, about to create a segment the parent is unlinking.
-    Reaping first closes that race.
-    """
-    if not getattr(executor, "_broken", False):
-        return
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    for proc in processes:
-        try:
-            proc.kill()
-        except Exception:  # pragma: no cover - already-reaped worker
-            pass
-    for proc in processes:
-        try:
-            proc.join(5.0)
-        except Exception:  # pragma: no cover - concurrent reap
-            pass
-
-
-def _collect_results(
-    executor, tasks: list[_Task], shm: bool, chaos_scope: str | None = None
-) -> list[object]:
-    """Gather worker results, releasing orphaned shm segments on failure.
-
-    A failing task must leak no shared-memory segment — neither from
-    chunks that already completed (their ownership transferred to this
-    process the moment the workers returned descriptors) nor from the
-    in-flight chunk of a crashed worker (its parent-assigned name is
-    unlinked without ever having seen a descriptor).
-    """
-    from concurrent.futures import wait
-    from repro.api.transport import discard_shm, is_shm_descriptor, unlink_segment
-
-    names = [_segment_name() if shm else None for _ in tasks]
-    futures = [
-        executor.submit(
-            _run_task_packed,
-            task,
-            shm=shm,
-            shm_name=names[i],
-            chaos_scope=chaos_scope,
-            chaos_task=i,
-        )
-        for i, task in enumerate(tasks)
-    ]
-    try:
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        _reap_if_broken(executor)
-        for i, future in enumerate(futures):
-            if future.cancelled() or future.exception() is not None:
-                if names[i] is not None:
-                    unlink_segment(names[i])
-                continue
-            result = future.result()
-            if is_shm_descriptor(result):
-                discard_shm(result)
-        raise
 
 
 def _dispatch_supervised(
     pool: WorkerPool,
     tasks: list[_Task],
-    shm: bool,
-    policy: "ExecutionPolicy",
+    policy: ExecutionPolicy,
     chaos_scope: str | None = None,
 ) -> list[object]:
     """Run tasks under supervision: deadlines, pool respawn, chunk retry.
@@ -470,39 +445,30 @@ def _dispatch_supervised(
     with a per-chunk deadline (``policy.chunk_timeout``).  A blown
     deadline or a dead worker (``BrokenProcessPool``) marks the round's
     unfinished chunks failed with a *retryable* error, SIGKILLs and
-    respawns the pool, unlinks the failed chunks' parent-assigned shm
-    segments, and — after a deterministic exponential backoff — retries
-    them.  Because a chunk is a pure function of its scenarios'
+    respawns the pool, and — after a deterministic exponential backoff —
+    retries them.  Because a chunk is a pure function of its scenarios'
     ``(seed, trial_index)`` streams, a retry reproduces the same bits, so
     recovery is invisible in the results.  A chunk that exhausts
-    ``policy.max_retries`` re-raises its last failure; a *non-retryable*
+    ``policy.max_retries`` re-raises its last failure.  A *non-retryable*
     task exception (a deterministic kernel crash) is fatal immediately —
-    retrying a pure function that raised is wasted work.
+    retrying a pure function that raised is wasted work — and cancels the
+    call's queued chunks but leaves the pool alone: its workers are
+    healthy, and a shared pool may be running other callers' chunks.
     """
     from concurrent.futures import BrokenExecutor
-    from repro.api.transport import discard_shm, is_shm_descriptor, unlink_segment
 
     results: list[object] = [None] * len(tasks)
-    done = [False] * len(tasks)
     attempts = [0] * len(tasks)
     pending = list(range(len(tasks)))
 
-    def _discard_completed() -> None:
-        for i, result in enumerate(results):
-            if done[i] and is_shm_descriptor(result):
-                discard_shm(result)
-
     while pending:
         executor = pool.executor()
-        names = {i: (_segment_name() if shm else None) for i in pending}
         futures: dict[int, object] = {}
         try:
             for i in pending:
                 futures[i] = executor.submit(
                     _run_task_packed,
                     tasks[i],
-                    shm=shm,
-                    shm_name=names[i],
                     chaos_scope=chaos_scope,
                     chaos_task=i,
                     attempt=attempts[i],
@@ -527,7 +493,6 @@ def _dispatch_supervised(
                     and future.exception() is None
                 ):
                     results[i] = future.result()
-                    done[i] = True
                 else:
                     future.cancel()
                     failures[i] = WorkerCrash(
@@ -537,7 +502,6 @@ def _dispatch_supervised(
                 continue
             try:
                 results[i] = future.result(timeout=policy.chunk_timeout)
-                done[i] = True
             except TimeoutError:
                 failures[i] = ChunkTimeout(
                     f"chunk {i} exceeded its {policy.chunk_timeout}s "
@@ -551,35 +515,18 @@ def _dispatch_supervised(
                     f"(attempt {attempts[i]}): {exc!r}"
                 )
                 pool_dead = True
-            except ExecutionError as exc:
-                if is_retryable(exc):
-                    failures[i] = exc
-                else:
-                    pool.kill()
-                    _discard_completed()
-                    for name in names.values():
-                        if name is not None:
-                            unlink_segment(name)
+            except BaseException as exc:
+                if not is_retryable(exc):
+                    for queued in futures.values():
+                        queued.cancel()
                     raise
-            except BaseException:
-                pool.kill()
-                _discard_completed()
-                for name in names.values():
-                    if name is not None:
-                        unlink_segment(name)
-                raise
+                failures[i] = exc
         if pool_dead:
-            # Kill *before* unlinking: a surviving worker mid-chunk must
-            # not create its segment after the parent unlinks the name.
             pool.kill()
-        for i in failures:
-            if names[i] is not None:
-                unlink_segment(names[i])
         pending = []
         for i, exc in failures.items():
             attempts[i] += 1
             if attempts[i] > policy.max_retries:
-                _discard_completed()
                 raise exc
             pending.append(i)
         if pending:
@@ -589,34 +536,13 @@ def _dispatch_supervised(
     return results
 
 
-#: Result transports for worker processes.  ``pickle`` is always correct;
-#: ``shm`` routes large packed chunks through shared memory.
-TRANSPORTS = ("pickle", "shm")
-
-#: Environment variable opting into the shared-memory transport by default.
-SHM_TRANSPORT_ENV = "REPRO_SHM_TRANSPORT"
-
-
-def _resolve_transport(transport: str | None) -> str:
-    if transport is None:
-        transport = (
-            "shm" if os.environ.get(SHM_TRANSPORT_ENV) == "1" else "pickle"
-        )
-    if transport not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; known: {', '.join(TRANSPORTS)}"
-        )
-    return transport
-
-
 def run_batch(
     scenarios: Iterable[Scenario],
     workers: int = 1,
     backend: str = "auto",
     batch_chunk: int | None = None,
     pool: "WorkerPool | None" = None,
-    transport: str | None = None,
-    policy: "ExecutionPolicy | None" = None,
+    policy: ExecutionPolicy | None = None,
     chaos_scope: str | None = None,
 ) -> list[RunReport]:
     """Run many scenarios; reports come back in input order.
@@ -630,33 +556,30 @@ def run_batch(
     :class:`WorkerPool` via ``pool=`` to reuse worker processes across
     calls (``pool`` takes precedence over ``workers``).  ``batch_chunk``
     defaults to the size-aware :func:`default_batch_chunk` policy per
-    group.  ``transport`` selects how workers ship results back
-    (:data:`TRANSPORTS`; ``None`` reads ``$REPRO_SHM_TRANSPORT``).
+    group.  Workers ship batch chunks back as packed numpy columns
+    (:mod:`repro.api.transport`).
 
-    A :class:`~repro.api.scheduler.ExecutionPolicy` via ``policy=`` turns
-    on *supervised* parallel dispatch: per-chunk deadlines, automatic pool
-    respawn after a worker death, and deterministic chunk retry with
-    exponential backoff (see :func:`_dispatch_supervised`).
+    Parallel dispatch is always supervised (see
+    :func:`_dispatch_supervised`) under ``policy`` — an
+    :class:`ExecutionPolicy`, by default ``ExecutionPolicy()``: per-chunk
+    deadlines, automatic pool respawn after a worker death, and
+    deterministic chunk retry with exponential backoff.
     ``chaos_scope`` labels this call for the deterministic fault-injection
     harness (:mod:`repro.api.chaos`); it has no effect unless a
     ``$REPRO_CHAOS`` plan targets it.
 
     Each trial derives its randomness from its own ``(seed, trial_index)``
     and the batch kernels consume those streams per trial, so the reports
-    are **bit-identical for every** ``workers``, ``batch_chunk``, ``pool``,
-    ``transport`` and ``policy`` value — supervised recovery included —
-    and identical to running each scenario alone —
-    :mod:`tests.test_batch_engine`, the golden-digest suite and
-    :mod:`tests.test_chaos` pin this down.
+    are **bit-identical for every** ``workers``, ``batch_chunk``, ``pool``
+    and ``policy`` value — supervised recovery included — and identical
+    to running each scenario alone — :mod:`tests.test_batch_engine`, the
+    golden-digest suite and :mod:`tests.test_chaos` pin this down.
     """
     batch = list(scenarios)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if batch_chunk is not None and batch_chunk < 1:
         raise ConfigurationError(f"batch_chunk must be >= 1, got {batch_chunk}")
-    # Validate eagerly so configuration errors surface identically whether
-    # or not the dispatch ends up parallel.
-    shm = _resolve_transport(transport) == "shm"
     # Resolve backends up front so configuration errors surface immediately
     # (and identically) regardless of worker count.
     payloads = [(s, resolve_backend(s, backend)) for s in batch]
@@ -689,31 +612,20 @@ def run_batch(
             task_indices.append(chunk_indices)
 
     effective_workers = pool.workers if pool is not None else workers
-    supervised = policy is not None and policy.supervise
     if effective_workers == 1 or len(tasks) <= 1:
         task_reports = [_run_task(task) for task in tasks]
     else:
-        if supervised:
-            if pool is not None:
-                results = _dispatch_supervised(
-                    pool, tasks, shm, policy, chaos_scope
-                )
-            else:
-                with WorkerPool(
-                    min(effective_workers, len(tasks))
-                ) as transient:
-                    results = _dispatch_supervised(
-                        transient, tasks, shm, policy, chaos_scope
-                    )
-        elif pool is not None:
-            results = _collect_results(
-                pool.executor(), tasks, shm, chaos_scope
+        with (
+            nullcontext(pool)
+            if pool is not None
+            else WorkerPool(min(workers, len(tasks)))
+        ) as active:
+            results = _dispatch_supervised(
+                active,
+                tasks,
+                ExecutionPolicy() if policy is None else policy,
+                chaos_scope,
             )
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(effective_workers, len(tasks))
-            ) as executor:
-                results = _collect_results(executor, tasks, shm, chaos_scope)
         task_reports = [
             _resolve_task_result(result, task)
             for result, task in zip(results, tasks)

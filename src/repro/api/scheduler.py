@@ -11,12 +11,14 @@ or a full :class:`~repro.api.sweep.StudyResult` through :meth:`run` (the
 CLI path).  ``run_study`` is now a thin wrapper; the future daemon is a
 second frontend over the same executor.
 
-Execution behavior is pluggable through :class:`ExecutionPolicy`:
+Execution behavior is pluggable through
+:class:`~repro.api.runner.ExecutionPolicy` (defined next to the
+dispatcher it configures and re-exported here):
 
 - **supervision** — cache-missing cells dispatch through the supervised
-  worker pool (per-chunk deadlines, pool respawn, deterministic chunk
-  retry with exponential backoff; see
-  :func:`repro.api.runner._dispatch_supervised`);
+  worker pool, the one parallel path of :func:`~repro.api.run_batch`
+  (per-chunk deadlines, pool respawn, deterministic chunk retry with
+  exponential backoff; see :func:`repro.api.runner._dispatch_supervised`);
 - **cell retry** — a cell whose dispatch still fails after chunk-level
   recovery is retried up to ``quarantine_after`` times (only for
   *retryable* substrate faults — a deterministic kernel crash would just
@@ -39,15 +41,15 @@ harness.  See ``docs/RESILIENCE.md``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterator
 
 from repro.api.cache import ResultCache, resolve_cache
 from repro.api.registry import REGISTRY
 from repro.api.results import ResultTable
 from repro.api.spill import maybe_spill
 from repro.api.runner import (
+    ExecutionPolicy,
     WorkerPool,
     aggregate,
     default_workers,
@@ -74,79 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.sweep import Cell
 
 
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """How a scheduler (and the supervised dispatcher) handles failure.
-
-    The default policy supervises: chunks get deadlines only if
-    ``chunk_timeout`` is set (``None`` waits forever — a deadline that
-    could fire on a slow-but-healthy machine would be a false positive),
-    substrate faults retry with deterministic exponential backoff, and a
-    hopeless cell is quarantined rather than aborting the study.
-    ``ExecutionPolicy(supervise=False)`` reproduces the pre-resilience
-    dispatch exactly (and is what the clean-path overhead bench compares
-    against).
-
-    ``sleep`` exists for tests: deterministic backoff schedules are
-    asserted by injecting a recorder instead of actually sleeping.
-    """
-
-    #: Dispatch cache-missing cells through the supervised pool path.
-    supervise: bool = True
-    #: Per-chunk deadline in seconds (``None``: no deadline).
-    chunk_timeout: float | None = None
-    #: Chunk-level retries after a worker death / blown deadline.
-    max_retries: int = 2
-    #: Backoff before retry ``k`` is ``backoff_base * backoff_factor**(k-1)``,
-    #: capped at ``backoff_max`` seconds.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    #: Cell-level attempts before degradation/quarantine.
-    quarantine_after: int = 2
-    #: Fall back to the agent engine for a repeatedly-crashing fast cell.
-    degrade_to_agent: bool = True
-    #: Record exhausted cells as failure rows (False: raise CellQuarantined).
-    quarantine: bool = True
-    #: Injection point for the backoff sleep (tests record, prod sleeps).
-    sleep: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ConfigurationError(
-                f"chunk_timeout must be positive, got {self.chunk_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_max < 0:
-            raise ConfigurationError(
-                f"backoff_max must be >= 0, got {self.backoff_max}"
-            )
-        if self.quarantine_after < 1:
-            raise ConfigurationError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based; 0 for <= 0)."""
-        if attempt <= 0 or self.backoff_base == 0:
-            return 0.0
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-
-
 class CellScheduler:
     """Expand a study and execute its cells under an execution policy.
 
@@ -166,7 +95,6 @@ class CellScheduler:
         cache: "ResultCache | str | None" = "auto",
         batch_chunk: int | None = None,
         pool: WorkerPool | None = None,
-        transport: str | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> None:
         self.study = study
@@ -178,7 +106,6 @@ class CellScheduler:
             )
         self.cache = resolve_cache(cache)
         self.batch_chunk = batch_chunk
-        self.transport = transport
         self.policy = ExecutionPolicy() if policy is None else policy
         self._external_pool = pool
         self._own_pool: WorkerPool | None = None
@@ -332,7 +259,6 @@ class CellScheduler:
                 backend=cell.backend,
                 batch_chunk=self.batch_chunk,
                 pool=self._pool(),
-                transport=self.transport,
                 policy=self.policy,
                 chaos_scope=f"cell{cell.index}",
             )

@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,14 +64,11 @@ from repro.api.cache import (
 )
 from repro.api.report import RunReport
 from repro.api.results import ResultTable
-from repro.api.runner import WorkerPool
+from repro.api.runner import ExecutionPolicy, WorkerPool
 from repro.api.scenario import Scenario
 from repro.exceptions import ConfigurationError
 from repro.model.nests import NestConfig
 from repro.sim.run import TrialStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.scheduler import ExecutionPolicy
 
 #: Scenario fields a sweep axis or base template may bind (dotted paths —
 #: ``params.beta``, ``noise.relative_sigma`` — address nested keys).
@@ -644,7 +641,6 @@ def run_study(
     cache: "ResultCache | str | None" = "auto",
     batch_chunk: int | None = None,
     pool: "WorkerPool | None" = None,
-    transport: str | None = None,
     policy: "ExecutionPolicy | None" = None,
 ) -> StudyResult:
     """Execute a study cell by cell, serving repeats from the cache.
@@ -658,17 +654,15 @@ def run_study(
     :class:`~repro.api.runner.WorkerPool` serves **every** cell of the
     study — worker processes fork once per study, not once per cell; pass
     your own via ``pool=`` to share it across studies (callers owning the
-    pool also own its shutdown).  ``transport`` selects the worker result
-    transport (see :func:`repro.api.run_batch`).  Results are
-    deterministic for any ``workers`` / ``batch_chunk`` / ``pool`` /
-    ``transport`` / ``policy`` / cache state: a warm re-run returns a
-    bit-identical :class:`~repro.api.results.ResultTable` while simulating
-    nothing.
+    pool also own its shutdown).  Results are deterministic for any
+    ``workers`` / ``batch_chunk`` / ``pool`` / ``policy`` / cache state: a
+    warm re-run returns a bit-identical
+    :class:`~repro.api.results.ResultTable` while simulating nothing.
 
-    ``policy`` (an :class:`~repro.api.scheduler.ExecutionPolicy`) controls
-    supervision, retry/backoff, degradation, and quarantine; the default
-    supervises with quarantine on, so one poisoned cell becomes a
-    structured failure row instead of aborting the sweep.
+    ``policy`` (an :class:`~repro.api.runner.ExecutionPolicy`) controls
+    the supervised dispatch's deadlines and retry/backoff, degradation,
+    and quarantine; the default has quarantine on, so one poisoned cell
+    becomes a structured failure row instead of aborting the sweep.
 
     ``cache="auto"`` uses ``$REPRO_CACHE_DIR`` when set (else no cache);
     pass a path or :class:`~repro.api.cache.ResultCache` to pin one, or
@@ -683,7 +677,6 @@ def run_study(
         cache=cache,
         batch_chunk=batch_chunk,
         pool=pool,
-        transport=transport,
         policy=policy,
     ) as scheduler:
         return scheduler.run()

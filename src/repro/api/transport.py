@@ -1,4 +1,4 @@
-"""Worker-to-parent result transport: packed columns and shared memory.
+"""Worker-to-parent result transport: packed columns.
 
 A batch chunk's reports used to travel back from worker processes as a
 pickled ``list[RunReport]`` — one Python object graph per trial, with the
@@ -7,17 +7,9 @@ parent already holds the chunk's scenarios.  This module packs a chunk
 into a handful of numpy columns (:func:`pack_reports`) that pickle as
 flat buffers, and reconstructs bit-identical reports on the parent side
 (:func:`unpack_reports`) from the columns plus the scenarios it already
-has.
-
-For large payloads an opt-in ``multiprocessing.shared_memory`` transport
-(:func:`maybe_to_shm` / :func:`from_shm`) moves the packed arrays through
-a named segment instead of the result pipe: the worker copies the columns
-into the segment and unregisters it from its resource tracker, the parent
-copies them out and unlinks.  Enable it with
-``run_batch(..., transport="shm")`` or ``$REPRO_SHM_TRANSPORT=1``; the
-pickle fallback is always correct, the segment is an optimization for
-batches whose columns exceed :data:`SHM_MIN_BYTES` (histories, very wide
-``final_counts`` matrices).
+has.  The packed dict is the one result format of the worker pool
+(:func:`repro.api.run_batch`): a default 64-trial chunk at ``n = 4096``
+pickles to about 7 KB, or about 400 KB with ``record_history``.
 
 Everything here is invisible to the bits: ``unpack_reports(pack_reports(
 reports), scenarios)`` reproduces every field exactly, pinned by the
@@ -37,22 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Sentinel for ``None`` in the integer columns.
 _NONE = -1
-
-#: Payloads smaller than this travel as ordinary pickles — a shared-memory
-#: segment (two syscalls + two copies) only pays for itself on big columns.
-SHM_MIN_BYTES = 1 << 20
-
-#: The keys of :func:`pack_reports` output holding numpy arrays.
-_ARRAY_KEYS = (
-    "converged",
-    "converged_round",
-    "rounds_executed",
-    "chosen_nest",
-    "chose_good_nest",
-    "final_counts",
-    "history_rows",
-    "history_splits",
-)
 
 
 def pack_reports(reports: Sequence[RunReport]) -> dict[str, Any]:
@@ -160,133 +136,3 @@ def unpack_reports(
             )
         )
     return reports
-
-
-def packed_nbytes(packed: dict[str, Any]) -> int:
-    """Total array bytes in a packed chunk (the shm sizing decision)."""
-    return sum(
-        packed[key].nbytes
-        for key in _ARRAY_KEYS
-        if packed.get(key) is not None
-    )
-
-
-def maybe_to_shm(
-    packed: dict[str, Any],
-    min_bytes: int | None = None,
-    name: str | None = None,
-) -> dict[str, Any]:
-    """Move the packed arrays into a shared-memory segment if large enough.
-
-    Returns either ``packed`` unchanged (small payloads) or a descriptor
-    ``{"shm": name, "fields": ..., "rest": ...}``.  The segment is created
-    here (in the worker) and unregistered from this process's resource
-    tracker — ownership transfers to the parent, which unlinks it in
-    :func:`from_shm`.
-
-    When ``name`` is given the segment is created under that exact name.
-    The supervised dispatcher assigns one per chunk *before* submitting,
-    so the parent can unlink the in-flight segment of a worker that died
-    mid-chunk — a randomly named segment from a killed worker would be
-    unfindable and leak in ``/dev/shm``.  A stale same-named segment (a
-    prior attempt killed between create and result delivery, then cleaned
-    concurrently) is unlinked and the create retried once.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    threshold = SHM_MIN_BYTES if min_bytes is None else min_bytes
-    total = packed_nbytes(packed)
-    if total < threshold:
-        return packed
-    if name is None:
-        segment = shared_memory.SharedMemory(create=True, size=max(1, total))
-    else:
-        try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=max(1, total)
-            )
-        except FileExistsError:
-            unlink_segment(name)
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=max(1, total)
-            )
-    fields = []
-    offset = 0
-    for key in _ARRAY_KEYS:
-        array = packed.get(key)
-        if array is None:
-            continue
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset)
-        view[...] = array
-        fields.append((key, array.dtype.str, array.shape, offset))
-        offset += array.nbytes
-    rest = {
-        key: value
-        for key, value in packed.items()
-        if key not in _ARRAY_KEYS
-    }
-    name = segment.name
-    segment.close()
-    # Hand ownership to the parent: without this, the worker's resource
-    # tracker would unlink the segment a second time at exit and warn.
-    try:  # pragma: no cover - tracker registration is platform-dependent
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
-    return {"shm": name, "fields": fields, "rest": rest}
-
-
-def from_shm(descriptor: dict[str, Any]) -> dict[str, Any]:
-    """Rehydrate a packed chunk from its shared-memory descriptor.
-
-    The arrays are copied out so the segment can be closed and unlinked
-    immediately — no lifetime coupling between reports and the segment.
-    """
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=descriptor["shm"])
-    try:
-        packed = dict(descriptor["rest"])
-        for key, dtype_str, shape, offset in descriptor["fields"]:
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype_str), buffer=segment.buf, offset=offset
-            )
-            packed[key] = view.copy()
-        for key in _ARRAY_KEYS:
-            packed.setdefault(key, None)
-    finally:
-        segment.close()
-        segment.unlink()
-    return packed
-
-
-def is_shm_descriptor(obj: Any) -> bool:
-    """Whether a worker result is a shared-memory descriptor."""
-    return isinstance(obj, dict) and "shm" in obj
-
-
-def unlink_segment(name: str) -> None:
-    """Unlink a named segment if it exists (idempotent error cleanup).
-
-    The parent calls this for every segment name it assigned to a failed
-    or abandoned chunk — whether the worker got as far as creating it or
-    not — so a kill at any point in the chunk's life cannot leak shm.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:  # never materialized or already consumed
-        return
-    segment.close()
-    segment.unlink()
-
-
-def discard_shm(descriptor: dict[str, Any]) -> None:
-    """Unlink a descriptor's segment without reading it (error cleanup).
-
-    Ownership transferred to the parent in :func:`maybe_to_shm`; when a
-    sibling task fails before the parent consumes this result, the
-    segment must still be released or it outlives the process.
-    """
-    unlink_segment(descriptor["shm"])

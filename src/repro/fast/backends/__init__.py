@@ -7,7 +7,6 @@ selection machinery that picks one:
 ==========  ==========================================================
 ``numpy``   The reference realization (:class:`NumpyOps`) — the PR-5
             plane-at-a-time round loop.  Always available.
-``numba``   ``looped.py`` JIT-compiled by numba when installed.
 ``cext``    ``_kernels.c`` compiled on demand with the host C compiler.
 ``python``  ``looped.py`` interpreted — the executable specification.
             Orders of magnitude slower; for debugging and parity tests.
@@ -21,10 +20,10 @@ recorded in extras (it is part of the scenario identity).
 
 Selection order: the ``kernel_backend`` scenario param (strongest), then
 a :func:`use_backend` override, then ``$REPRO_FAST_BACKEND``, default
-``auto``.  Unavailable choices degrade down a fixed chain (numba → cext
-→ numpy) rather than fail — except ``python``, which is always exactly
-itself.  :func:`resolve_backend` reports the degradation so the registry
-can surface it honestly.
+``auto``.  Unavailable choices degrade down a fixed chain (cext → numpy)
+rather than fail — except ``python``, which is always exactly itself.
+:func:`resolve_backend` reports the degradation so the registry can
+surface it honestly.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.fast.arena import shared_arena
-from repro.fast.backends import cext, looped, numba_backend
+from repro.fast.backends import cext, looped
 from repro.fast.backends.numpy_ops import NumpyOps
 from repro.fast.backends.state import PerturbedState
 
@@ -56,12 +55,11 @@ __all__ = [
 ]
 
 #: Valid ``kernel_backend`` / ``$REPRO_FAST_BACKEND`` values.
-BACKEND_NAMES = ("auto", "numba", "cext", "numpy", "python")
+BACKEND_NAMES = ("auto", "cext", "numpy", "python")
 
 #: Degradation chain per requested name: first available entry wins.
 _CHAIN = {
-    "auto": ("numba", "cext", "numpy"),
-    "numba": ("numba", "cext", "numpy"),
+    "auto": ("cext", "numpy"),
     "cext": ("cext", "numpy"),
     "numpy": ("numpy",),
     "python": ("python",),
@@ -75,8 +73,8 @@ _RESOLVER_CACHE: dict[str, Callable] = {}
 
 # Size-1 stand-ins for planes a feature flag gates off.  The kernels
 # never dereference them when the flag is clear (every access is guarded
-# or short-circuited), but numba still needs a consistently-typed array
-# in the slot and ctypes a non-null pointer.
+# or short-circuited), but the python loops still need a typed array in
+# the slot and ctypes a non-null pointer.
 _D_F64 = np.zeros(1, dtype=np.float64)
 _D_I32 = np.zeros(1, dtype=np.int32)
 _D_I64 = np.zeros(1, dtype=np.int64)
@@ -98,8 +96,6 @@ def availability(name: str) -> str | None:
     """Why ``name`` cannot run here, or ``None`` when it can."""
     if name in ("numpy", "python"):
         return None
-    if name == "numba":
-        return numba_backend.availability()
     if name == "cext":
         return cext.availability()
     raise ConfigurationError(
@@ -155,8 +151,6 @@ def _kernels_for(name: str):
     """The array-signature kernel namespace behind a concrete backend."""
     if name == "python":
         return looped
-    if name == "numba":
-        return numba_backend.kernels()
     if name == "cext":
         return cext.kernels()
     raise ConfigurationError(f"backend {name!r} has no kernel namespace")
@@ -226,7 +220,7 @@ def _resolver_from_kernels(kernels) -> Callable:
 
 
 class CompiledOps:
-    """Drive the shared kernels namespace (python / numba / cext).
+    """Drive the shared kernels namespace (python / cext).
 
     The compiled ops take the same :class:`PerturbedState` as
     :class:`NumpyOps` but hand each stage to an array-signature kernel
@@ -237,7 +231,7 @@ class CompiledOps:
     constant between compactions; the driver bumps ``st.epoch`` exactly
     when planes rebind.  :meth:`_bound` therefore resolves each stable
     plane once per epoch — through the backend's optional ``prepare``
-    hook (cext: raw pointer ints; python/numba: the flat views
+    hook (cext: raw pointer ints; python: the flat views
     themselves) — and the per-round calls pass those cached arguments
     straight through.  Without this, pointer/view derivation was ~15 %
     of the cext round loop (16k ``.ctypes.data`` resolutions per batch).

@@ -1,20 +1,16 @@
 """Element-loop kernels for the perturbed round loop.
 
 One function per ops stage, written as plain loops over flat views so the
-same source serves three executions:
+same source serves two executions:
 
 - the ``python`` backend runs them as-is (slow; a readable executable
   specification and the fallback-of-last-resort for debugging),
-- the ``numba`` backend ``njit``-compiles them unchanged
-  (:mod:`repro.fast.backends.numba_backend`),
-- the ``cext`` backend mirrors them pass-for-pass in C (``_kernels.c``)
-  for containers without numba.
+- the ``cext`` backend mirrors them pass-for-pass in C (``_kernels.c``).
 
 The kernels are structured as short *branchless passes* rather than one
 fused per-element loop: boolean logic as uint8 arithmetic, movement as
 select blends, feature tests loop-invariant.  That shape is what lets
-LLVM (under numba) and gcc (under cext) auto-vectorize them — the first,
-branchy cut of these loops lost to numpy's SIMD plane passes on branch
+gcc (under cext) auto-vectorize them — the first, branchy cut of these loops lost to numpy's SIMD plane passes on branch
 mispredictions alone.  The ``scr_a``/``scr_b`` arguments are caller-owned
 uint8 scratch planes the passes stage masks in.
 
@@ -24,8 +20,7 @@ exactly; see docs/PERFORMANCE.md §7):
 - The probability pipeline performs the *same IEEE-754 double operations
   in the same order* as the numpy ufuncs: ``count/n`` divide, quality
   multiply, rate multiply, then ``min(max(p, 0), 1)``.  No
-  multiply-then-add is fused (nothing here may compile to an FMA), and
-  numba runs with its default ``fastmath=False``.
+  multiply-then-add is fused (nothing here may compile to an FMA).
 - Every pass is element-independent, so splitting the round into passes
   cannot change any plane: each element's value depends only on that
   element's pre-round inputs.
@@ -397,17 +392,3 @@ def resolve_pairs(ne, src_key, dst_key, used, out_src, out_dst):
             out_dst[outn] = d
             outn += 1
     return outn
-
-
-#: The kernels a backend namespace must expose (__init__ builds ops from
-#: any object carrying these attributes with these array signatures).
-KERNEL_NAMES = (
-    "decide_move",
-    "participants",
-    "greedy_match",
-    "apply_pairs",
-    "observe",
-    "blend",
-    "converged",
-    "resolve_pairs",
-)

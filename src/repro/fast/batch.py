@@ -677,7 +677,7 @@ def _simulate_simple_perturbed(
     (``decide_move`` / ``participants`` / ``match`` / ``observe`` /
     ``blend`` / ``advance`` / ``converged``) of
     :mod:`repro.fast.backends`.  ``kernel_backend`` pins the realization
-    (``numpy``, ``numba``, ``cext``, ``python``); every backend consumes
+    (``numpy``, ``cext``, ``python``); every backend consumes
     the same driver-drawn planes and reproduces the numpy realization
     bit-for-bit (the golden-digest suite runs the perturbed cases across
     backends), so selection is a pure performance knob.

@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS", help="per-chunk deadline")
     serve_p.add_argument("--max-retries", type=int, default=None, metavar="N",
                          help="chunk-level retries (default 2)")
-    serve_p.add_argument("--no-supervise", action="store_true",
-                         help="disable worker supervision")
 
     submit_p = sub.add_parser("submit", help="submit a study")
     submit_p.add_argument("study", help="registered study name or JSON file")
@@ -104,8 +102,6 @@ def _build_policy(args: argparse.Namespace) -> ExecutionPolicy | None:
         overrides["chunk_timeout"] = args.chunk_timeout
     if args.max_retries is not None:
         overrides["max_retries"] = args.max_retries
-    if args.no_supervise:
-        overrides["supervise"] = False
     return ExecutionPolicy(**overrides) if overrides else None
 
 

@@ -63,7 +63,6 @@ class StudyService:
         backend: str | None = None,
         policy: ExecutionPolicy | None = None,
         batch_chunk: int | None = None,
-        transport: str | None = None,
     ) -> None:
         if executors < 1:
             raise ValueError(f"executors must be >= 1, got {executors}")
@@ -74,7 +73,6 @@ class StudyService:
         self.backend = backend
         self.policy = policy
         self.batch_chunk = batch_chunk
-        self.transport = transport
         self.pool = WorkerPool(self.workers) if self.workers > 1 else None
         self.queue = JobQueue()
         self.started_at = time.monotonic()
@@ -130,7 +128,6 @@ class StudyService:
                 cache=self.cache,
                 batch_chunk=self.batch_chunk,
                 pool=self.pool,
-                transport=self.transport,
                 policy=self.policy,
             )
             results = []

@@ -33,45 +33,6 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def shm_watch():
-    """Fail the test if it leaves new shared-memory segments behind.
-
-    Scans ``/dev/shm`` for segment files before and after the test body
-    (``psm_*`` are Python's anonymous segments, ``repro*`` the runner's
-    parent-named ones).  Cleanup is asynchronous — pool teardown and the
-    resource tracker can lag a beat — so leaked candidates are re-polled
-    briefly before failing.
-    """
-    import time
-    from pathlib import Path
-
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-Linux fallback
-        yield
-        return
-
-    def scan() -> set:
-        try:
-            return {
-                p.name
-                for p in root.iterdir()
-                if p.name.startswith(("psm_", "repro"))
-            }
-        except OSError:  # pragma: no cover - raced directory teardown
-            return set()
-
-    before = scan()
-    yield
-    leaked = scan() - before
-    for _ in range(100):
-        if not leaked:
-            break
-        time.sleep(0.05)
-        leaked = scan() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
-@pytest.fixture
 def all_good_4() -> NestConfig:
     """Four candidate nests, all good (the pure-competition workload)."""
     return NestConfig.all_good(4)

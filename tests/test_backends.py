@@ -40,7 +40,7 @@ GOLDEN = load_golden()
 #: Concrete (non-``auto``) backends this host can actually run.
 CONCRETE = tuple(
     name
-    for name in ("numba", "cext", "numpy", "python")
+    for name in ("cext", "numpy", "python")
     if availability(name) is None
 )
 
@@ -98,7 +98,6 @@ def test_degradation_is_reported(monkeypatch):
         raise ConfigurationError(f"unknown kernel backend {name!r}")
 
     monkeypatch.setattr(backends, "availability", only_numpy)
-    assert backends.resolve_backend("numba") == ("numpy", "numba")
     assert backends.resolve_backend("cext") == ("numpy", "cext")
     # auto lands on the same fallback but is never "degraded".
     assert backends.resolve_backend("auto") == ("numpy", None)
@@ -191,6 +190,17 @@ def test_pinned_backends_agree_bit_for_bit(backend):
 def test_unknown_pin_rejected():
     with pytest.raises(ConfigurationError, match="unknown kernel backend"):
         run(_pin_scenario(kernel_backend="cuda"))
+
+
+def test_numba_is_an_unknown_backend(monkeypatch):
+    """numba is not a backend: its pin and its environment value are
+    rejected by name instead of silently degrading to cext."""
+    with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+        run(_pin_scenario(kernel_backend="numba"))
+    monkeypatch.setenv("REPRO_FAST_BACKEND", "numba")
+    with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+        resolve_backend(None)
+    assert BACKEND_NAMES == ("auto", "cext", "numpy", "python")
 
 
 @pytest.mark.parametrize("algorithm", ["simple", "adaptive", "uniform"])

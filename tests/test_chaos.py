@@ -10,10 +10,9 @@ resilience invariants:
    chunks, or transient flakes produces a ``ResultTable`` bit-identical
    (``equals``) to an undisturbed run, and recovered reports still match
    the committed golden digests;
-2. **no leaks** — shared-memory segments of in-flight chunks on killed
-   workers are always unlinked by the parent (the ``shm_watch`` fixture
-   scans ``/dev/shm``), on both the supervised and the legacy dispatch
-   paths.
+2. **one supervised path** — every parallel ``run_batch`` is supervised,
+   with or without an explicit policy, and a deterministic failure stops
+   only its own call: a shared pool keeps its healthy workers.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ import json
 
 import pytest
 
-import repro.api.transport as transport
 from repro.api import (
     ExecutionPolicy,
     Study,
     Sweep,
+    WorkerPool,
     grid,
     nests_spec,
     run_batch,
@@ -117,7 +116,6 @@ class TestPlanParsing:
         chaos.maybe_inject("cell0", 0, 0, "batch", "start")
 
 
-@pytest.mark.usefixtures("shm_watch")
 class TestRecoveryDeterminism:
     def test_flake_is_retried_bit_identically(self, monkeypatch):
         study = _study()
@@ -168,7 +166,6 @@ class TestRecoveryDeterminism:
         assert digest_reports(reports) == load_golden()[name]
 
 
-@pytest.mark.usefixtures("shm_watch")
 class TestAcceptanceScenario:
     def test_kill_stall_and_poison_in_one_study(self, monkeypatch):
         """The ISSUE acceptance run: SIGKILL one worker, stall another
@@ -214,11 +211,8 @@ class TestAcceptanceScenario:
         assert undisturbed.table.equals(smoke.table)
 
 
-@pytest.mark.usefixtures("shm_watch")
-class TestShmLeakOnWorkerDeath:
-    """Satellite: a killed worker's in-flight segment never outlives the
-    run — the parent assigns segment names up front and unlinks them on
-    every failure path (supervised and legacy)."""
+class TestOneDispatchPath:
+    """Parallel dispatch has one path: supervised, over packed columns."""
 
     def _scenarios(self):
         from repro.api import Scenario
@@ -232,29 +226,52 @@ class TestShmLeakOnWorkerDeath:
             max_rounds=20_000,
         ).trials(6)
 
-    def test_supervised_kill_after_segment_creation(self, monkeypatch):
-        scenarios = self._scenarios()
-        serial = run_batch(scenarios)
-        monkeypatch.setattr(transport, "SHM_MIN_BYTES", 0)
-        # Kill at phase "result": the worker has already created and
-        # populated its parent-named segment when it dies.
-        plan_env(monkeypatch, kill(task=0, phase="result"))
-        recovered = run_batch(
-            scenarios, workers=2, batch_chunk=2, transport="shm",
-            policy=POLICY,
-        )
-        for a, b in zip(serial, recovered):
+    @staticmethod
+    def _assert_same(expected, got):
+        assert len(expected) == len(got)
+        for a, b in zip(expected, got):
             assert a.to_dict(include_history=True) == b.to_dict(
                 include_history=True
             )
 
-    def test_legacy_dispatch_unlinks_in_flight_segments(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
+    def test_supervised_kill_after_segment_creation(self, monkeypatch):
         scenarios = self._scenarios()
-        monkeypatch.setattr(transport, "SHM_MIN_BYTES", 0)
+        serial = run_batch(scenarios)
+        # Kill at phase "result": the worker has already simulated and
+        # packed its chunk when it dies, before the result is returned.
         plan_env(monkeypatch, kill(task=0, phase="result"))
-        # Without supervision the failure propagates (legacy semantics),
-        # but the shm_watch fixture proves no segment leaks.
-        with pytest.raises(BrokenProcessPool):
-            run_batch(scenarios, workers=2, batch_chunk=2, transport="shm")
+        recovered = run_batch(
+            scenarios, workers=2, batch_chunk=2, policy=POLICY
+        )
+        self._assert_same(serial, recovered)
+
+    def test_bare_parallel_run_batch_retries_a_flake(self, monkeypatch):
+        """No ``policy=``: the default ExecutionPolicy still supervises."""
+        scenarios = self._scenarios()
+        serial = run_batch(scenarios)
+        plan_env(monkeypatch, flake(task=0))
+        recovered = run_batch(scenarios, workers=2, batch_chunk=2)
+        self._assert_same(serial, recovered)
+
+    def test_deterministic_failure_keeps_the_shared_pool(self, monkeypatch):
+        """A non-retryable task exception re-raises without killing the
+        pool: the next call is served by the same worker processes."""
+        scenarios = self._scenarios()
+        serial = run_batch(scenarios)
+        plan_env(monkeypatch, poison(scope="poisoned", task=0))
+        with WorkerPool(2) as pool:
+            with pytest.raises(ChaosError):
+                run_batch(
+                    scenarios,
+                    batch_chunk=2,
+                    pool=pool,
+                    policy=POLICY,
+                    chaos_scope="poisoned",
+                )
+            assert pool.started
+            executor = pool.executor()
+            pids = set(executor._processes)
+            after = run_batch(scenarios, batch_chunk=2, pool=pool)
+            assert pool.executor() is executor
+            assert set(executor._processes) == pids
+        self._assert_same(serial, after)

@@ -1,5 +1,8 @@
-"""Documentation artifacts and the EXPERIMENTS.md build tool."""
+"""Documentation artifacts, the EXPERIMENTS.md build tool and the
+benchmark regression checker."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +51,46 @@ class TestBuildTool:
         assert "paper vs. measured" in output
         # At least some tables must be inlined as fenced blocks.
         assert output.count("```text") >= 5
+
+
+def _load_checker():
+    path = ROOT / "tools" / "check_bench_regression.py"
+    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchRegressionChecker:
+    def test_relative_record_path(self, tmp_path, monkeypatch):
+        """``check_bench_regression.py BENCH_scale.json`` from the repo
+        root: a path relative to the working directory finds its
+        committed baseline and is compared against it."""
+        checker = _load_checker()
+        repo = tmp_path.resolve()
+        record = {
+            "benchmark": "scale",
+            "profile": "quick",
+            "config": {"n": 4},
+            "machine": {"arch": "x86_64", "cpu_count": 1},
+            "metrics": {"trials_per_sec": 10.0},
+        }
+        (repo / "BENCH_scale.json").write_text(json.dumps(record))
+        for command in (
+            ["init", "-q"],
+            ["add", "BENCH_scale.json"],
+            ["commit", "-q", "-m", "record"],
+        ):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *command],
+                cwd=repo,
+                check=True,
+            )
+        monkeypatch.setattr(checker, "REPO_ROOT", repo)
+        monkeypatch.chdir(repo)
+        relative = Path("BENCH_scale.json")
+        assert checker.check_record(relative, 0.30) == []
+        record["metrics"]["trials_per_sec"] = 5.0
+        relative.write_text(json.dumps(record))
+        (failure,) = checker.check_record(relative, 0.30)
+        assert "trials_per_sec regressed" in failure

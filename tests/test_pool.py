@@ -1,12 +1,11 @@
-"""The persistent worker pool, result transports, and arena plumbing.
+"""The persistent worker pool, the packed-column transport, and arena plumbing.
 
 PR-5 contracts under test:
 
 - ``run_study`` through a persistent :class:`~repro.api.WorkerPool` is
   bit-identical to serial execution and to per-call pools — fresh pool,
   reused pool, and ``workers=1`` must produce equal ``ResultTable``s;
-- the packed-column and shared-memory transports reproduce every report
-  field exactly;
+- the packed-column transport reproduces every report field exactly;
 - the arena recycles buffers and compacts rows without reallocation;
 - the phase profiler accounts kernel time when (and only when) installed.
 """
@@ -49,7 +48,6 @@ def _study(trials: int = 6) -> Study:
     )
 
 
-@pytest.mark.usefixtures("shm_watch")
 class TestWorkerPool:
     def test_pool_reuse_determinism(self):
         """Same study: workers=1, fresh pool, reused pool — one answer."""
@@ -115,7 +113,6 @@ class TestWorkerPool:
             )
 
 
-@pytest.mark.usefixtures("shm_watch")
 class TestTransports:
     def _reports(self, **overrides):
         base = dict(
@@ -166,43 +163,6 @@ class TestTransports:
         packed = transport.pack_reports(reports)
         with pytest.raises(ValueError):
             transport.unpack_reports(packed, scenarios[:-1])
-
-    def test_shm_roundtrip(self):
-        reports, scenarios = self._reports(record_history=True, n=48)
-        descriptor = transport.maybe_to_shm(
-            transport.pack_reports(reports), min_bytes=0
-        )
-        assert transport.is_shm_descriptor(descriptor)
-        rebuilt = transport.unpack_reports(
-            transport.from_shm(descriptor), scenarios
-        )
-        for a, b in zip(reports, rebuilt):
-            assert a.to_dict(include_history=True) == b.to_dict(
-                include_history=True
-            )
-
-    def test_shm_small_payloads_stay_pickled(self):
-        reports, _ = self._reports()
-        packed = transport.pack_reports(reports)
-        assert transport.maybe_to_shm(packed, min_bytes=1 << 30) is packed
-
-    def test_shm_transport_through_workers(self, monkeypatch):
-        reports, scenarios = self._reports()
-        monkeypatch.setattr(transport, "SHM_MIN_BYTES", 0)
-        shipped = run_batch(
-            scenarios, workers=2, batch_chunk=2, transport="shm"
-        )
-        for a, b in zip(reports, shipped):
-            assert a.to_dict(include_history=True) == b.to_dict(
-                include_history=True
-            )
-
-    def test_unknown_transport_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        _, scenarios = self._reports()
-        with pytest.raises(ConfigurationError):
-            run_batch(scenarios, workers=2, transport="carrier-pigeon")
 
 
 class TestBatchChunkPolicy:

@@ -108,12 +108,7 @@ class TestSchedulerIsTheRunStudyExecutor:
             study, workers=2, cache=None, batch_chunk=2,
             policy=ExecutionPolicy(chunk_timeout=120.0),
         )
-        unsupervised = run_study(
-            study, workers=2, cache=None, batch_chunk=2,
-            policy=ExecutionPolicy(supervise=False),
-        )
         assert serial.table.equals(supervised.table)
-        assert serial.table.equals(unsupervised.table)
 
     def test_outcomes_stream_in_cell_order(self):
         study = _study(ns=(32, 48, 64))

@@ -38,8 +38,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def committed_version(path: Path) -> dict | None:
-    """The JSON record at HEAD, or None if it is not committed."""
-    rel = path.relative_to(REPO_ROOT).as_posix()
+    """The JSON record at HEAD, or None if it is not committed.
+
+    ``path`` may be relative to the working directory, as in
+    ``python tools/check_bench_regression.py BENCH_scale.json``.
+    """
+    rel = path.resolve().relative_to(REPO_ROOT).as_posix()
     proc = subprocess.run(
         ["git", "show", f"HEAD:{rel}"],
         cwd=REPO_ROOT,
