@@ -253,6 +253,44 @@ class TestOneDispatchPath:
         recovered = run_batch(scenarios, workers=2, batch_chunk=2)
         self._assert_same(serial, recovered)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["transient", "shared"])
+    def test_bare_parallel_run_batch_recovers_a_killed_worker(
+        self, monkeypatch, shared
+    ):
+        """No ``policy=``, on a transient pool or the caller's: a SIGKILLed
+        worker is respawned and its chunk retried bit-identically."""
+        scenarios = self._scenarios()
+        serial = run_batch(scenarios)
+        plan_env(monkeypatch, kill(task=0))
+        if shared:
+            with WorkerPool(2) as pool:
+                recovered = run_batch(scenarios, batch_chunk=2, pool=pool)
+                assert pool.started
+        else:
+            recovered = run_batch(scenarios, workers=2, batch_chunk=2)
+        self._assert_same(serial, recovered)
+
+    def test_one_policy_class_and_no_dispatch_knobs(self):
+        """``ExecutionPolicy`` is one class, defined next to the dispatcher;
+        neither it nor any entry point offers a dispatch or transport
+        switch."""
+        import dataclasses
+        import inspect
+
+        import repro.api
+        from repro.api import runner, scheduler
+        from repro.api.scheduler import CellScheduler
+        from repro.service.daemon import StudyService
+
+        assert repro.api.ExecutionPolicy is runner.ExecutionPolicy
+        assert scheduler.ExecutionPolicy is runner.ExecutionPolicy
+        fields = {f.name for f in dataclasses.fields(ExecutionPolicy)}
+        assert "supervise" not in fields
+        assert not hasattr(repro.api, "TRANSPORTS")
+        for entry_point in (run_batch, run_study, CellScheduler, StudyService):
+            params = inspect.signature(entry_point).parameters
+            assert "transport" not in params, entry_point.__name__
+
     def test_deterministic_failure_keeps_the_shared_pool(self, monkeypatch):
         """A non-retryable task exception re-raises without killing the
         pool: the next call is served by the same worker processes."""
