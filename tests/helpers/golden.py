@@ -158,6 +158,24 @@ def golden_cases() -> dict[str, list[Scenario]]:
         # -- standalone fast-only processes (report-path guard) -------------
         "rumor": lambda: _simple(125, algorithm="rumor", n=256),
         "polya": lambda: _simple(126, algorithm="polya", n=64, max_rounds=512),
+        # E14's urn shape: two urns, an explicit initial split, gamma = 1.
+        "polya_e14": lambda: _simple(
+            129,
+            algorithm="polya",
+            nests=NestConfig.all_good(2),
+            params={"initial": [68, 60], "gamma": 1.0, "steps": 512},
+            max_rounds=512,
+        ),
+        # A recorded history over more steps than one uniform draw block.
+        "polya_history": lambda: _simple(
+            130,
+            algorithm="polya",
+            n=96,
+            nests=NestConfig.all_good(3),
+            params={"gamma": 1.5, "steps": 1500},
+            max_rounds=2000,
+            record_history=True,
+        ),
         # -- measurement processes (Lemma 2.1 / Lemma 5.4 samplers) ---------
         "tagged_recruitment": lambda: _simple(
             127,
