@@ -4,7 +4,7 @@ Registers the paper's algorithms (Algorithm 2 "optimal", Algorithm 3
 "simple"), the lower-bound information-spreading process, all four
 baselines (quorum sensing, the uniform-rate ablation, rumor spreading, the
 Pólya urn) and the Section 6 extension variants.  Each entry supplies an
-agent-engine builder and/or one fast entry point and declares, feature tag
+agent-engine builder and/or a batch kernel and declares, feature tag
 by feature tag (``fast_features``), which scenario dimensions that kernel
 honors — the simple family covers the full perturbation surface (fault
 plans, every noise kind, delay models), while structural limits beyond
@@ -12,20 +12,21 @@ tags (the spread process's hard-coded good nest) live in small
 ``fast_supports`` predicates.  That is exactly the information
 ``backend="auto"`` dispatch and its recorded fallback reasons need.
 
-Every algorithm with a vectorized kernel registers it as a ``batch_kernel``
-over :mod:`repro.fast.batch` (v2 matcher schedule); :func:`repro.api.run`
-runs a single fast scenario as a batch of one, so
+Every algorithm with a vectorized kernel registers it as a ``batch_kernel``:
+the colony algorithms over :mod:`repro.fast.batch` (v2 matcher schedule),
+``polya`` over :func:`repro.baselines.polya.polya_batch` (every trial's urn
+on one count plane) and ``rumor`` as a loop over its trials.
+:func:`repro.api.run` runs a single fast scenario as a batch of one, so
 :func:`repro.api.run_batch`'s trial-parallel dispatch is bit-identical to
-running each trial alone.  Only ``rumor`` and ``polya``, which have no
-batch form, register a per-trial ``fast_kernel``.  The agent engine runs
-the literal v1 matcher and is the reference the batch kernels are tested
-against.
+running each trial alone.  The agent engine runs the literal v1 matcher
+and is the reference the colony batch kernels are tested against.
 
 Adding a protocol variant is one ``REGISTRY.register(...)`` call.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ from repro.api.registry import (
 )
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
-from repro.baselines.polya import PolyaUrn
+from repro.baselines.polya import PolyaUrn, polya_batch
 from repro.baselines.quorum import quorum_factory
 from repro.baselines.rumor import RumorMode, rumor_rounds
 from repro.baselines.uniform import uniform_factory
@@ -70,7 +71,7 @@ from repro.fast.batch import (
     simulate_simple_batch,
     simulate_spread_batch,
 )
-from repro.fast.results import SpreadResult
+from repro.fast.results import FastRunResult, SpreadResult
 from repro.sim.rng import RandomSource
 
 
@@ -271,26 +272,17 @@ def _spread_agent(scenario: Scenario):
 
 
 def _spread_report(scenario: Scenario, result: SpreadResult) -> RunReport:
-    good_nest = scenario.nests.good_nests[0]
     extras = _fast_extras()
     extras["informed_history"] = result.informed_history.tolist()
-    return RunReport(
-        algorithm=scenario.algorithm,
-        backend="fast",
-        n=scenario.n,
-        k=scenario.nests.k,
-        seed=scenario.seed,
-        trial_index=scenario.trial_index,
-        max_rounds=scenario.max_rounds,
-        converged=result.all_informed,
-        converged_round=result.rounds_to_all_informed,
-        rounds_executed=result.rounds_executed,
-        chosen_nest=good_nest if result.all_informed else None,
-        chose_good_nest=result.all_informed,
-        final_counts=None,
-        population_history=None,
-        extras=extras,
+    good_nest = scenario.nests.good_nests[0] if result.all_informed else None
+    report = FastRunResult(
+        result.all_informed,
+        result.rounds_to_all_informed,
+        result.rounds_executed,
+        good_nest,
+        None,
     )
+    return RunReport.from_fast(scenario, report, extras=extras)
 
 
 def _spread_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
@@ -408,81 +400,84 @@ def _quality_weighted_agent(scenario: Scenario):
 # -- standalone reference processes (fast-only) ------------------------------
 
 
-def _rumor_fast(scenario: Scenario, source: RandomSource) -> RunReport:
-    params = _params(scenario, mode=RumorMode.PUSH.value, initial_informed=1)
-    # rumor_rounds returns max_rounds both for completion exactly at the cap
-    # and for censoring; allowing one extra round disambiguates (a return
-    # value <= max_rounds can only mean genuine completion).
-    rounds = rumor_rounds(
-        scenario.n,
-        source.colony,
-        mode=RumorMode(params["mode"]),
-        initial_informed=int(params["initial_informed"]),
-        max_rounds=scenario.max_rounds + 1,
-    )
-    converged = rounds <= scenario.max_rounds
-    rounds = min(rounds, scenario.max_rounds)
-    return RunReport(
-        algorithm=scenario.algorithm,
-        backend="fast",
-        n=scenario.n,
-        k=scenario.nests.k,
-        seed=scenario.seed,
-        trial_index=scenario.trial_index,
-        max_rounds=scenario.max_rounds,
-        converged=converged,
-        converged_round=rounds if converged else None,
-        rounds_executed=rounds,
-        chosen_nest=None,
-        chose_good_nest=False,
-        final_counts=None,
-        population_history=None,
-        extras={"process": "rumor", "mode": params["mode"]},
+def _whole(scenario: Scenario, name: str, value, minimum: int) -> int:
+    """A whole-number param: a fraction is a named error, never truncated."""
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        if value >= minimum:
+            return int(value)
+    raise ConfigurationError(
+        f"{scenario.algorithm} param {name!r} must be a whole number >= "
+        f"{minimum}, got {value!r}"
     )
 
 
-def _polya_fast(scenario: Scenario, source: RandomSource) -> RunReport:
-    params = _params(scenario, initial=None, gamma=2.0, steps=None)
+def _rumor_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
+    """One :func:`rumor_rounds` run per trial, each on its own stream."""
+    params = _params(scenarios[0], mode=RumorMode.PUSH.value, initial_informed=1)
+    try:
+        mode = RumorMode(params["mode"])
+    except ValueError:
+        raise ConfigurationError(
+            f"rumor param 'mode' must be one of "
+            f"{[mode.value for mode in RumorMode]}, got {params['mode']!r}"
+        ) from None
+    informed = _whole(scenarios[0], "initial_informed", params["initial_informed"], 1)
+    reports = []
+    for scenario, source in zip(scenarios, _sources(scenarios)):
+        # rumor_rounds returns max_rounds both for completion exactly at the
+        # cap and for censoring; allowing one extra round disambiguates (a
+        # return value <= max_rounds can only mean genuine completion).
+        cap = scenario.max_rounds
+        rounds = rumor_rounds(scenario.n, source.colony, mode, informed, cap + 1)
+        converged = rounds <= cap
+        rounds = min(rounds, cap)
+        result = FastRunResult(
+            converged, rounds if converged else None, rounds, None, None
+        )
+        extras = {"process": "rumor", "mode": mode.value}
+        reports.append(RunReport.from_fast(scenario, result, extras=extras))
+    return reports
+
+
+def _polya_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
+    """Every trial's urn on one count plane (:func:`polya_batch`)."""
+    base = scenarios[0]
+    params = _params(base, initial=None, gamma=2.0, steps=None)
+    k = base.nests.k
     initial = params["initial"]
     if initial is None:
-        # Default two-urn race over the scenario's nests: the n "balls" are
-        # split as evenly as the k urns allow.
-        k = scenario.nests.k
-        base, extra = divmod(scenario.n, k)
-        initial = [base + (1 if urn < extra else 0) for urn in range(k)]
-    # One reinforcement = one round, so the round cap bounds the steps.
-    steps = int(params["steps"]) if params["steps"] is not None else 4 * scenario.n
-    steps = min(steps, scenario.max_rounds)
-    urn = PolyaUrn(initial, gamma=float(params["gamma"]))
-    trajectory = urn.run(steps, source.colony)
-    winner = int(np.argmax(urn.counts)) + 1
-    final_counts = np.concatenate([[0], urn.counts]).astype(np.int64)
-    extras: dict = {"process": "polya", "gamma": float(params["gamma"])}
-    history = None
-    if scenario.record_history:
-        history = np.rint(
-            trajectory * (np.arange(steps + 1) + sum(initial))[:, None]
-        ).astype(np.int64)
-        history = np.concatenate(
-            [np.zeros((steps + 1, 1), dtype=np.int64), history], axis=1
+        # Default race over the scenario's nests: the n "balls" are split as
+        # evenly as the k urns allow.
+        split, extra = divmod(base.n, k)
+        initial = [split + (1 if urn < extra else 0) for urn in range(k)]
+    urn = PolyaUrn(initial, gamma=params["gamma"])
+    if len(urn.counts) != k:
+        raise ConfigurationError(
+            f"polya param 'initial' has {len(urn.counts)} urn counts, but the "
+            f"scenario has k={k} nests"
         )
-    return RunReport(
-        algorithm=scenario.algorithm,
-        backend="fast",
-        n=scenario.n,
-        k=scenario.nests.k,
-        seed=scenario.seed,
-        trial_index=scenario.trial_index,
-        max_rounds=scenario.max_rounds,
-        converged=True,
-        converged_round=steps,
-        rounds_executed=steps,
-        chosen_nest=winner,
-        chose_good_nest=scenario.nests.is_good(winner),
-        final_counts=final_counts,
-        population_history=history,
-        extras=extras,
+    steps = params["steps"]
+    steps = 4 * base.n if steps is None else _whole(base, "steps", steps, 0)
+    # One reinforcement = one round, so the round cap bounds the steps.
+    steps = min(steps, base.max_rounds)
+    rngs = [source.colony for source in _sources(scenarios)]
+    counts, history = polya_batch(
+        urn.counts, urn.gamma, steps, rngs, base.record_history
     )
+    # Reports count nests from 1: column 0 is the (empty) home nest.
+    counts = np.pad(counts, ((0, 0), (1, 0)))
+    histories = [None] * len(scenarios)
+    if history is not None:
+        histories = np.pad(history, ((0, 0), (0, 0), (1, 0)))
+    extras = {"process": "polya", "gamma": urn.gamma}
+    return [
+        RunReport.from_fast(
+            scenario,
+            FastRunResult(True, steps, steps, int(np.argmax(row)), row, rows),
+            extras=extras,
+        )
+        for scenario, row, rows in zip(scenarios, counts, histories)
+    ]
 
 
 #: The standalone reference processes ignore colony perturbations entirely;
@@ -537,14 +532,14 @@ def register_builtin_algorithms(registry=REGISTRY) -> None:
     registry.register(
         "rumor",
         "push/pull rumor spreading on the complete graph (reference)",
-        fast_kernel=_rumor_fast,
+        batch_kernel=_rumor_batch,
         fast_features=STANDALONE_FAST_FEATURES,
         params=("initial_informed", "mode"),
     )
     registry.register(
         "polya",
         "generalized Pólya urn, the Section 5 reinforcement reference",
-        fast_kernel=_polya_fast,
+        batch_kernel=_polya_batch,
         fast_features=STANDALONE_FAST_FEATURES,
         params=("gamma", "initial", "steps"),
     )

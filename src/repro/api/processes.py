@@ -34,6 +34,7 @@ import numpy as np
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.exceptions import ConfigurationError
+from repro.fast.results import FastRunResult
 from repro.model.recruitment import match_arrays
 from repro.sim.rng import RandomSource
 
@@ -45,25 +46,10 @@ def _report(
     final_counts: np.ndarray | None,
     extras: dict,
 ) -> RunReport:
-    return RunReport(
-        algorithm=scenario.algorithm,
-        backend="fast",
-        n=scenario.n,
-        k=scenario.nests.k,
-        seed=scenario.seed,
-        trial_index=scenario.trial_index,
-        max_rounds=scenario.max_rounds,
-        converged=converged,
-        converged_round=1 if converged else None,
-        rounds_executed=1,
-        chosen_nest=chosen_nest,
-        chose_good_nest=(
-            chosen_nest is not None and scenario.nests.is_good(chosen_nest)
-        ),
-        final_counts=final_counts,
-        population_history=None,
-        extras=extras,
+    result = FastRunResult(
+        converged, 1 if converged else None, 1, chosen_nest, final_counts
     )
+    return RunReport.from_fast(scenario, result, extras=extras)
 
 
 # -- Lemma 2.1: tagged-recruiter success (one pairing round) -----------------

@@ -4,11 +4,9 @@ Each :class:`AlgorithmEntry` binds a registry name to
 
 - an **agent builder**: ``(scenario) -> (AntFactory, default CriterionFactory
   or None)`` — how to assemble a colony for the reference engine, and
-- at most one **fast entry point**, when a vectorized implementation
-  exists: a **batch kernel** ``(scenarios) -> [RunReport, ...]`` that runs
-  a homogeneous chunk trial-parallel (a single run is a batch of one), or,
-  for the standalone processes with no batch form, a per-trial **fast
-  kernel** ``(scenario, source) -> RunReport``.
+- a **batch kernel** ``(scenarios) -> [RunReport, ...]``, when a vectorized
+  implementation exists: the one fast entry point, which runs a
+  homogeneous chunk trial-parallel (a single run is a batch of one).
 
 Which scenarios a fast kernel can honor is declared **feature-granularly**:
 :func:`scenario_features` maps a scenario to the set of feature tags it
@@ -39,7 +37,6 @@ from repro.sim.convergence import (
     UnanimousCommitment,
 )
 from repro.sim.noise import CountNoise
-from repro.sim.rng import RandomSource
 from repro.sim.run import AntFactory, CriterionFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,9 +145,6 @@ def scenario_features(scenario: "Scenario") -> frozenset[str]:
 AgentBuilder = Callable[
     ["Scenario"], tuple[AntFactory, "CriterionFactory | None"]
 ]
-#: Runs one scenario's vectorized implementation (the fast entry point of
-#: processes that have no batch kernel).
-FastKernel = Callable[["Scenario", RandomSource], "RunReport"]
 #: Structural constraints beyond the feature tags (e.g. the spread process
 #: hard-coding the good nest as nest 1).  Feature coverage is declared via
 #: ``fast_features``.
@@ -187,14 +181,12 @@ def scenario_kernel_backend(scenario: "Scenario") -> str | None:
 class AlgorithmEntry:
     """One registered algorithm: metadata plus per-engine adapters.
 
-    ``fast_kernel`` and ``batch_kernel`` are alternative fast entry points:
-    an entry registers at most one of them.
+    ``batch_kernel`` is the one fast entry point.
     """
 
     name: str
     summary: str
     agent_builder: AgentBuilder | None = None
-    fast_kernel: FastKernel | None = None
     fast_supports: FastSupport | None = None
     batch_kernel: BatchKernel | None = None
     #: Feature tags the fast kernel implements (see :func:`scenario_features`).
@@ -205,11 +197,6 @@ class AlgorithmEntry:
     param_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.fast_kernel is not None and self.batch_kernel is not None:
-            raise ConfigurationError(
-                f"algorithm {self.name!r} registers both a fast_kernel and a "
-                "batch_kernel; register one fast entry point"
-            )
         if self.agent_builder is None and not self.has_fast:
             raise ConfigurationError(
                 f"algorithm {self.name!r} registers neither engine"
@@ -230,8 +217,8 @@ class AlgorithmEntry:
 
     @property
     def has_fast(self) -> bool:
-        """Whether a vectorized kernel (batch or per-trial) is registered."""
-        return self.fast_kernel is not None or self.batch_kernel is not None
+        """Whether a vectorized (batch) kernel is registered."""
+        return self.batch_kernel is not None
 
     @property
     def backends(self) -> tuple[str, ...]:
@@ -271,14 +258,9 @@ class AlgorithmEntry:
             return (self.STRUCTURAL_LIMIT,)
         return ()
 
-    @property
-    def has_batch(self) -> bool:
-        """Whether a trial-parallel batch kernel is registered."""
-        return self.batch_kernel is not None
-
     def supports_batch(self, scenario: "Scenario") -> bool:
-        """Whether the batch kernel exists and covers this scenario."""
-        return self.has_batch and self.supports_fast(scenario)
+        """:meth:`supports_fast`, since every fast kernel is a batch kernel."""
+        return self.supports_fast(scenario)
 
 
 class AlgorithmRegistry:
@@ -292,7 +274,6 @@ class AlgorithmRegistry:
         name: str,
         summary: str,
         agent_builder: AgentBuilder | None = None,
-        fast_kernel: FastKernel | None = None,
         fast_supports: FastSupport | None = None,
         batch_kernel: BatchKernel | None = None,
         fast_features: frozenset[str] | Sequence[str] = (),
@@ -312,7 +293,6 @@ class AlgorithmRegistry:
             name=name,
             summary=summary,
             agent_builder=agent_builder,
-            fast_kernel=fast_kernel,
             fast_supports=fast_supports,
             batch_kernel=batch_kernel,
             fast_features=frozenset(fast_features),

@@ -125,8 +125,8 @@ def run(
 ) -> RunReport:
     """Execute one scenario and return its normalized report.
 
-    On the fast engine, an algorithm with a batch kernel runs the scenario
-    as a batch of one — bit-identical to the same trial inside any
+    On the fast engine the scenario runs through its algorithm's batch
+    kernel as a batch of one — bit-identical to the same trial inside any
     :func:`run_batch` chunk.  ``hooks`` (per-round callbacks) exist only on
     the agent engine; passing any forces agent execution under
     ``backend="auto"``.
@@ -143,10 +143,7 @@ def run(
     if resolved == "fast":
         if hooks:
             raise ConfigurationError("round hooks require backend='agent'")
-        entry = registry.get(scenario.algorithm)
-        if entry.has_batch:
-            return entry.batch_kernel([scenario])[0]
-        return entry.fast_kernel(scenario, scenario.source())
+        return registry.get(scenario.algorithm).batch_kernel([scenario])[0]
 
     entry = registry.get(scenario.algorithm)
     fallback: tuple[str, ...] = ()
@@ -360,8 +357,8 @@ class WorkerPool:
         self.close()
 
 #: One unit of batch work: ``("single", scenario, backend)`` runs one
-#: scenario through :func:`run`; ``("batch", [scenarios])`` runs one
-#: homogeneous chunk through the algorithm's batch kernel.
+#: agent-engine scenario through :func:`run`; ``("batch", [scenarios])``
+#: runs one homogeneous chunk through the algorithm's batch kernel.
 _Task = tuple
 
 
@@ -549,12 +546,12 @@ def run_batch(
 
     Homogeneous runs of scenarios — same algorithm and workload, differing
     only in ``seed``/``trial_index`` — are detected and dispatched to the
-    algorithm's trial-parallel batch kernel in chunks (when the registry
-    entry has one and the resolved backend is ``fast``); everything else
-    runs scenario-by-scenario through :func:`run`.  ``workers > 1`` fans
-    the chunks and the leftover singles out over a process pool; pass a
-    :class:`WorkerPool` via ``pool=`` to reuse worker processes across
-    calls (``pool`` takes precedence over ``workers``).  ``batch_chunk``
+    algorithm's trial-parallel batch kernel in chunks whenever the
+    resolved backend is ``fast``; agent-engine scenarios run one by one
+    through :func:`run`.  ``workers > 1`` fans the chunks and the agent
+    singles out over a process pool; pass a :class:`WorkerPool` via
+    ``pool=`` to reuse worker processes across calls (``pool`` takes
+    precedence over ``workers``).  ``batch_chunk``
     defaults to the size-aware :func:`default_batch_chunk` policy per
     group.  Workers ship batch chunks back as packed numpy columns
     (:mod:`repro.api.transport`).
@@ -584,14 +581,13 @@ def run_batch(
     # (and identically) regardless of worker count.
     payloads = [(s, resolve_backend(s, backend)) for s in batch]
 
-    # Partition into batchable groups (keyed by everything but randomness)
-    # and leftover singles, remembering every scenario's input position.
+    # Partition into batchable fast groups (keyed by everything but
+    # randomness) and agent singles, remembering each input position.
     groups: dict[str, list[int]] = {}
     tasks: list[_Task] = []
     task_indices: list[list[int]] = []
     for index, (scenario, resolved) in enumerate(payloads):
-        entry = REGISTRY.get(scenario.algorithm)
-        if resolved == "fast" and entry.supports_batch(scenario):
+        if resolved == "fast":
             groups.setdefault(_batch_group_key(scenario), []).append(index)
         else:
             # Singles re-run under the *requested* backend (already resolved

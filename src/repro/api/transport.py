@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.api.report import RunReport
+from repro.fast.results import FastRunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
@@ -34,10 +35,12 @@ _NONE = -1
 def pack_reports(reports: Sequence[RunReport]) -> dict[str, Any]:
     """Pack one homogeneous chunk's reports into columnar form.
 
-    Scenario identity fields are dropped (the parent reconstructs them
-    from the scenarios it dispatched); arrays are stacked; ``extras``
-    dicts ride along as-is (for batch kernels they are tiny — the matcher
-    tag, or the spread process's informed history).
+    Scenario identity fields are dropped, and so is ``chose_good_nest``:
+    every fast report is built by :meth:`RunReport.from_fast`, which
+    derives it from the scenario and the chosen nest, so the parent
+    rebuilds both from the scenarios it dispatched.  Arrays are stacked;
+    ``extras`` dicts ride along as-is (for batch kernels they are tiny —
+    the matcher tag, or the spread process's informed history).
     """
     n = len(reports)
     converged = np.fromiter(
@@ -58,9 +61,6 @@ def pack_reports(reports: Sequence[RunReport]) -> dict[str, Any]:
         (_NONE if r.chosen_nest is None else r.chosen_nest for r in reports),
         dtype=np.int64,
         count=n,
-    )
-    chose_good = np.fromiter(
-        (r.chose_good_nest for r in reports), dtype=np.bool_, count=n
     )
     if all(r.final_counts is not None for r in reports):
         final_counts = np.stack(
@@ -85,7 +85,6 @@ def pack_reports(reports: Sequence[RunReport]) -> dict[str, Any]:
         "converged_round": converged_round,
         "rounds_executed": rounds_executed,
         "chosen_nest": chosen_nest,
-        "chose_good_nest": chose_good,
         "final_counts": final_counts,
         "history_rows": history_rows,
         "history_splits": history_splits,
@@ -112,27 +111,15 @@ def unpack_reports(
     for i, scenario in enumerate(scenarios):
         converged_round = int(packed["converged_round"][i])
         chosen = int(packed["chosen_nest"][i])
+        result = FastRunResult(
+            bool(packed["converged"][i]),
+            None if converged_round == _NONE else converged_round,
+            int(packed["rounds_executed"][i]),
+            None if chosen == _NONE else chosen,
+            None if final_counts is None else final_counts[i],
+            histories[i],
+        )
         reports.append(
-            RunReport(
-                algorithm=scenario.algorithm,
-                backend="fast",
-                n=scenario.n,
-                k=scenario.nests.k,
-                seed=scenario.seed,
-                trial_index=scenario.trial_index,
-                max_rounds=scenario.max_rounds,
-                converged=bool(packed["converged"][i]),
-                converged_round=(
-                    None if converged_round == _NONE else converged_round
-                ),
-                rounds_executed=int(packed["rounds_executed"][i]),
-                chosen_nest=None if chosen == _NONE else chosen,
-                chose_good_nest=bool(packed["chose_good_nest"][i]),
-                final_counts=(
-                    None if final_counts is None else final_counts[i]
-                ),
-                population_history=histories[i],
-                extras=packed["extras"][i],
-            )
+            RunReport.from_fast(scenario, result, extras=packed["extras"][i])
         )
     return reports

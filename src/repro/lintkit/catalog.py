@@ -184,9 +184,9 @@ RULES: dict[str, Rule] = {
                 "parity-bearing test modules (test_*equivalence*, "
                 "test_*parity*, test_*golden*, test_fast_*, test_*matcher* "
                 "and the golden helpers) for the registry name of each "
-                "entry with a fast_kernel or batch_kernel and fails on "
-                "gaps — an uncovered kernel is an unverified rewrite "
-                "waiting to diverge."
+                "entry with a batch_kernel and fails on gaps — an "
+                "uncovered kernel is an unverified rewrite waiting to "
+                "diverge."
             ),
             bad='registry.register("new_algo", batch_kernel=kb)  # untested',
             good="tests/test_new_algo_parity.py exercising "

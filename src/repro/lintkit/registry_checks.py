@@ -4,9 +4,9 @@ Pure static analysis over repo metadata — no ``repro`` import, no numpy:
 
 - ``src/repro/api/algorithms.py`` and ``src/repro/api/processes.py`` are
   parsed for ``registry.register("name", ...)`` calls: which engines each
-  entry registers (``agent_builder`` / ``fast_kernel`` / ``batch_kernel``
-  keywords) and which ``Scenario.params`` names it *declares* (the
-  ``params=`` registration kwarg).
+  entry registers (``agent_builder`` / ``batch_kernel`` keywords) and
+  which ``Scenario.params`` names it *declares* (the ``params=``
+  registration kwarg).
 - The params each entry actually *accepts* are extracted from the same
   modules by following the entry's builder/kernel functions through
   module-local helpers and collecting ``_params(scenario, name=...)``
@@ -62,11 +62,7 @@ class RegistryEntry:
 
     @property
     def has_fast(self) -> bool:
-        """Either fast entry point (per-trial or batch) is registered."""
-        return "fast_kernel" in self.kwargs or self.has_batch
-
-    @property
-    def has_batch(self) -> bool:
+        """The fast entry point (the batch kernel) is registered."""
         return "batch_kernel" in self.kwargs
 
 
@@ -206,7 +202,7 @@ class _Module:
     def entry_roots(self, entry: RegistryEntry) -> set[str]:
         """The local function/alias names an entry's kwargs reference."""
         roots: set[str] = set()
-        for key in ("agent_builder", "fast_kernel", "batch_kernel"):
+        for key in ("agent_builder", "batch_kernel"):
             node = entry.kwargs.get(key)
             if isinstance(node, ast.Name):
                 roots.add(node.id)
@@ -436,7 +432,7 @@ def run_registry_checks(
             )
         covered = set(case_algorithms.values())
         for entry in entries:
-            if entry.has_batch and entry.name not in covered:
+            if entry.has_fast and entry.name not in covered:
                 findings.append(
                     _finding(
                         "R302",

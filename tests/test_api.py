@@ -439,6 +439,86 @@ class TestStandaloneProcesses:
         assert report.chose_good_nest
         assert int(report.final_counts.sum()) == 64 + 200
 
+    @pytest.mark.parametrize("initial", [[30, 20, 10], [10, 20, 30]])
+    def test_polya_more_urns_than_nests_rejected(self, initial):
+        # Used to return a k=2 report with four final counts, or to raise
+        # "nest id 3 out of range" only when urn 3 happened to win.
+        scenario = Scenario(
+            algorithm="polya",
+            n=60,
+            nests=NestConfig.all_good(2),
+            params={"initial": initial, "steps": 50},
+        )
+        with pytest.raises(ConfigurationError, match="initial"):
+            run(scenario)
+
+    def test_polya_fewer_urns_than_nests_rejected(self):
+        scenario = Scenario(
+            algorithm="polya",
+            n=50,
+            nests=NestConfig.all_good(4),
+            params={"initial": [30, 20], "steps": 50},
+        )
+        with pytest.raises(ConfigurationError, match="initial"):
+            run(scenario)
+
+    def test_polya_fractional_initial_rejected(self):
+        # Used to be truncated to [30, 20].
+        scenario = Scenario(
+            algorithm="polya",
+            n=50,
+            nests=NestConfig.all_good(2),
+            params={"initial": [30.9, 20.2], "steps": 50},
+        )
+        with pytest.raises(ConfigurationError, match="initial"):
+            run(scenario)
+
+    def test_polya_negative_steps_rejected(self):
+        # Used to raise a bare numpy ValueError.
+        scenario = Scenario(
+            algorithm="polya",
+            n=50,
+            nests=NestConfig.all_good(2),
+            params={"steps": -5},
+        )
+        with pytest.raises(ConfigurationError, match="'steps'"):
+            run_batch(scenario.trials(3))
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 400.0])
+    def test_polya_gamma_without_finite_weights_rejected(self, gamma):
+        # NaN, infinite or overflowing urn weights used to reach
+        # Generator.choice and raise a bare ValueError.
+        scenario = Scenario(
+            algorithm="polya",
+            n=50,
+            nests=NestConfig.all_good(2),
+            params={"gamma": gamma, "steps": 50},
+        )
+        with pytest.raises(ConfigurationError, match="gamma"):
+            run(scenario)
+
+    def test_rumor_unknown_mode_rejected(self):
+        # Used to raise a bare ValueError from the RumorMode enum.
+        scenario = Scenario(
+            algorithm="rumor",
+            n=64,
+            nests=NestConfig.all_good(2),
+            params={"mode": "banana"},
+        )
+        with pytest.raises(ConfigurationError, match="'mode'"):
+            run(scenario)
+
+    def test_rumor_fractional_initial_informed_rejected(self):
+        # Used to be truncated to 2.
+        scenario = Scenario(
+            algorithm="rumor",
+            n=64,
+            nests=NestConfig.all_good(2),
+            params={"initial_informed": 2.5},
+        )
+        with pytest.raises(ConfigurationError, match="'initial_informed'"):
+            run(scenario)
+
     def test_spread_backends_agree_on_workload(self):
         scenario = Scenario(
             algorithm="spread",

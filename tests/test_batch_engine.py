@@ -42,11 +42,12 @@ _BATCH_NESTS = {
     "uniform": NestConfig.binary(4, {1, 3}),
 }
 
-#: Every registry entry with a batch kernel, including any added later.
+#: Every registry entry with a batch kernel (every fast entry), including
+#: any added later.
 BATCHED_ALGORITHMS = [
     (entry.name, _BATCH_NESTS.get(entry.name, NestConfig.all_good(4)))
     for entry in REGISTRY
-    if entry.has_batch
+    if entry.has_fast
 ]
 
 #: The algorithms that used to accept the retired ``matcher`` param.
@@ -127,31 +128,29 @@ class TestDispatch:
     def test_registry_batch_kernels_present(self):
         batched = {name for name, _ in BATCHED_ALGORITHMS}
         assert set(_FORMER_MATCHER_ALGORITHMS) <= batched
-        assert {"tagged_recruitment", "initial_split"} <= batched
-        for name in ("rumor", "polya", "power_feedback"):
-            assert not REGISTRY.get(name).has_batch, name
+        assert {"tagged_recruitment", "initial_split", "rumor", "polya"} <= batched
+        assert not REGISTRY.get("power_feedback").has_fast
 
     def test_one_fast_entry_point_per_entry(self):
         for entry in REGISTRY:
-            assert entry.fast_kernel is None or entry.batch_kernel is None, (
-                entry.name
-            )
-            assert entry.has_fast == (
-                entry.fast_kernel is not None or entry.batch_kernel is not None
-            )
+            assert entry.has_fast == (entry.batch_kernel is not None), entry.name
 
-    def test_registering_both_fast_entry_points_rejected(self):
-        from repro.api.registry import AlgorithmRegistry
+    def test_batch_kernel_is_the_only_fast_slot(self):
+        # register() and AlgorithmEntry know one fast entry point, the
+        # batch kernel: a per-trial slot is neither a parameter nor a field.
+        import dataclasses
+        import inspect
 
-        simple = REGISTRY.get("simple")
-        registry = AlgorithmRegistry()
-        with pytest.raises(ConfigurationError, match="one fast entry point"):
-            registry.register(
-                "both",
-                "registers a per-trial and a batch kernel",
-                fast_kernel=lambda scenario, source: None,
-                batch_kernel=simple.batch_kernel,
-            )
+        from repro.api.registry import AlgorithmEntry, AlgorithmRegistry
+
+        assert list(inspect.signature(AlgorithmRegistry.register).parameters) == [
+            "self", "name", "summary", "agent_builder", "fast_supports",
+            "batch_kernel", "fast_features", "params", "replace",
+        ]
+        assert [field.name for field in dataclasses.fields(AlgorithmEntry)] == [
+            "name", "summary", "agent_builder", "fast_supports",
+            "batch_kernel", "fast_features", "param_names",
+        ]
 
     def test_quorum_and_uniform_resolve_fast_on_auto(self):
         # The E8 comparison workload no longer falls back to the slow engine.

@@ -5,6 +5,8 @@ and — where the claim admits a cheap check — that the reproduction
 assertion holds at quick scale.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.tables import Table
@@ -115,3 +117,13 @@ class TestSlowRunnersTinyGrids:
 
         table = e14_polya.run(quick=True, n=64, trials=30, urn_trials=30)
         assert table.n_rows == 4
+
+    def test_e14_quick_table_matches_committed_output(self):
+        # E14's 800 urn trials run batched, so the full quick study is
+        # cheap enough to re-render byte for byte on every commit.
+        from repro.experiments import e14_polya
+
+        committed = (
+            Path(__file__).resolve().parent.parent / "benchmarks" / "output" / "E14.txt"
+        ).read_text(encoding="utf-8")
+        assert e14_polya.run(quick=True).render() + "\n" == committed

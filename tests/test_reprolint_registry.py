@@ -153,32 +153,8 @@ def test_r302_stale_digest_entry(tmp_path):
     assert "ghost_case" in findings[0].message
 
 
-def test_r303_fast_kernel_without_parity_test(tmp_path):
-    # A per-trial fast entry (no batch kernel, so no golden case naming
-    # it) that no parity-bearing test module mentions.
-    algorithms = ALGORITHMS_PY.replace(
-        "batch_kernel=_alpha_batch,", "fast_kernel=_alpha_trial,"
-    )
-    golden = GOLDEN_PY.replace(
-        '"alpha_clean": lambda: _case(algorithm="alpha"),',
-        '"other": lambda: _case(),',
-    )
-    parity = PARITY_TEST_PY.replace("alpha", "something_else")
-    findings = check(
-        build_tree(
-            tmp_path,
-            algorithms=algorithms,
-            golden=golden,
-            digests={"other": "0" * 64},
-            parity=parity,
-        )
-    )
-    assert rules_of(findings) == ["R303"]
-    assert "alpha" in findings[0].message
-
-
 def test_r303_batch_only_entry_without_parity_test(tmp_path):
-    """A batch kernel is a fast kernel too: uncovered, R303 flags it."""
+    """An uncovered batch kernel (the one fast entry point): R303 flags it."""
     golden = GOLDEN_PY.replace(
         '"alpha_clean": lambda: _case(algorithm="alpha"),',
         '"other": lambda: _case(),',

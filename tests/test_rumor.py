@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.api import Scenario, run_batch
 from repro.baselines.rumor import (
     RumorMode,
     expected_push_rounds,
@@ -11,6 +12,7 @@ from repro.baselines.rumor import (
     spread_on_graph,
 )
 from repro.exceptions import ConfigurationError
+from repro.model.nests import NestConfig
 
 
 class TestCompleteGraph:
@@ -90,3 +92,30 @@ class TestEstimate:
     def test_expected_push_rounds_small(self):
         assert expected_push_rounds(1) == 0.0
         assert expected_push_rounds(2) > 0
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("mode", list(RumorMode))
+    def test_batch_equals_per_trial_rounds(self, mode):
+        # The registry's rumor batch kernel loops rumor_rounds over its
+        # trials, each on its own stream: chunking changes nothing.
+        scenario = Scenario(
+            algorithm="rumor",
+            n=200,
+            nests=NestConfig.all_good(2),
+            seed=11,
+            max_rounds=40,
+            params={"mode": mode.value, "initial_informed": 3},
+        )
+        reports = run_batch(scenario.trials(5), batch_chunk=2)
+        for t, report in enumerate(reports):
+            rounds = rumor_rounds(
+                200,
+                scenario.trial(t).source().colony,
+                mode,
+                initial_informed=3,
+                max_rounds=scenario.max_rounds + 1,
+            )
+            assert report.converged == (rounds <= scenario.max_rounds)
+            assert report.rounds_executed == min(rounds, scenario.max_rounds)
+            assert report.extras == {"process": "rumor", "mode": mode.value}
