@@ -275,14 +275,14 @@ def _spread_report(scenario: Scenario, result: SpreadResult) -> RunReport:
     extras = _fast_extras()
     extras["informed_history"] = result.informed_history.tolist()
     good_nest = scenario.nests.good_nests[0] if result.all_informed else None
-    report = FastRunResult(
+    fast = FastRunResult(
         result.all_informed,
         result.rounds_to_all_informed,
         result.rounds_executed,
         good_nest,
         None,
     )
-    return RunReport.from_fast(scenario, report, extras=extras)
+    return RunReport.from_fast(scenario, fast, extras=extras)
 
 
 def _spread_batch(scenarios: Sequence[Scenario]) -> list[RunReport]:
