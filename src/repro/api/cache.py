@@ -23,41 +23,29 @@ WAL, an LRU clock, and byte-budget eviction, built for the long-running
 study service.  The cache semantics (verification, accounting) are
 identical over either.
 
-The default location is ``$REPRO_CACHE_DIR`` when set; otherwise caching
-is off unless a cache (or path) is passed explicitly — test suites and
-one-off scripts shouldn't silently grow a cache directory.
-``$REPRO_CACHE_STORE=sqlite`` switches the environment default to the
-sharded SQLite store.
+The default location is ``$REPRO_CACHE_DIR`` when set (a directory
+store); otherwise caching is off unless a cache (or path) is passed
+explicitly — test suites and one-off scripts shouldn't silently grow a
+cache directory.  The SQLite store is chosen explicitly: the service's
+``--store`` option, or ``ResultCache(root, store=...)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro.api.store import (
-    CellStore,
-    DirectoryStore,
-    StoreDefect,
-    make_store,
-)
+from repro import knobs
+from repro.api.store import CellStore, DirectoryStore, StoreDefect
 from repro.sim.run import TrialStats
 
 #: Bump when the entry schema or key payload layout changes; old entries
 #: become unreachable (different key) rather than misread.
 CACHE_FORMAT_VERSION = 1
-
-#: Environment variable naming the default cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable selecting the default store kind (see
-#: :data:`repro.api.store.STORE_KINDS`).
-CACHE_STORE_ENV = "REPRO_CACHE_STORE"
 
 #: Most defect records retained by :attr:`ResultCache.defects` — a
 #: long-lived daemon must observe corruption without the log becoming an
@@ -236,16 +224,9 @@ class ResultCache:
 
 
 def default_cache() -> ResultCache | None:
-    """The cache named by ``$REPRO_CACHE_DIR``, or ``None`` (caching off).
-
-    ``$REPRO_CACHE_STORE`` picks the store layout (``directory`` default,
-    ``sqlite`` for the sharded daemon store).
-    """
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    kind = os.environ.get(CACHE_STORE_ENV, "directory")
-    return ResultCache(root, store=make_store(kind, root))
+    """A directory-store cache at ``$REPRO_CACHE_DIR``, or ``None`` (off)."""
+    root = knobs.cache_dir()
+    return None if root is None else ResultCache(root)
 
 
 def resolve_cache(cache: "ResultCache | str | Path | None") -> ResultCache | None:

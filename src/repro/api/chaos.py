@@ -6,8 +6,9 @@ can be injected *deterministically*: this worker, this chunk, this
 attempt, every run.  This module is that trigger.  A chaos **plan** is a
 list of entries, each matching a point in a chunk's execution and naming
 an action; the plan travels through the ``$REPRO_CHAOS`` environment
-variable (inline JSON or ``@/path/to/plan.json``) so it crosses the
-``fork`` boundary into workers without any API surface.
+variable (inline JSON or ``@/path/to/plan.json``, read by
+:func:`repro.knobs.chaos`) so it crosses the ``fork`` boundary into
+workers without any API surface.
 
 An entry is a JSON object::
 
@@ -29,27 +30,23 @@ infrastructure error.
 
 The hook (:func:`maybe_inject`) only runs inside ``_run_task_packed`` —
 the worker-side entrypoint — never on the serial in-process path, so a
-``kill`` can never take down the parent.  ``$REPRO_CHAOS`` values of
-``"1"``/``"on"``/``"true"`` enable the machinery with an empty plan (the
-CI chaos-smoke switch), and malformed values parse as an empty plan: bad
-chaos config must degrade to "no chaos", never break a real run.
+``kill`` can never take down the parent.  A switch word such as
+``$REPRO_CHAOS=1`` (the CI chaos-smoke form) means an empty plan.  A value
+that is neither a switch word nor a readable JSON plan raises
+:class:`~repro.exceptions.ConfigurationError` naming the variable: a
+mistyped plan must not pass for an undisturbed run.  Entries whose
+``action`` is not one of the four are ignored.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
-from pathlib import Path
 from typing import Any
 
+from repro import knobs
 from repro.exceptions import ReproError, WorkerCrash
-
-CHAOS_ENV = "REPRO_CHAOS"
-
-#: ``$REPRO_CHAOS`` values that enable chaos with an empty plan.
-_SWITCH_VALUES = {"1", "on", "true", "yes"}
 
 _ACTIONS = {"kill", "stall", "raise", "flake"}
 
@@ -58,45 +55,13 @@ class ChaosError(ReproError):
     """Raised by a ``raise`` chaos entry: a simulated deterministic crash."""
 
 
-def parse_plan(value: str | None) -> list[dict[str, Any]]:
-    """Parse a ``$REPRO_CHAOS`` value into a list of plan entries.
-
-    Accepts inline JSON (a list, or an object with an ``entries`` key),
-    an ``@/path`` or bare-path reference to a JSON file, or a bare
-    on-switch value.  Anything unparseable is an empty plan.
-    """
-    if not value:
-        return []
-    text = value.strip()
-    if not text:
-        return []
-    if text.lower() in _SWITCH_VALUES:
-        return []
-    if text.startswith("@"):
-        text = text[1:]
-    if not text.startswith(("[", "{")):
-        try:
-            text = Path(text).read_text(encoding="utf-8")
-        except OSError:
-            return []
-    try:
-        data = json.loads(text)
-    except ValueError:
-        return []
-    if isinstance(data, dict):
-        data = data.get("entries", [])
-    if not isinstance(data, list):
-        return []
-    entries = []
-    for entry in data:
-        if isinstance(entry, dict) and entry.get("action") in _ACTIONS:
-            entries.append(entry)
-    return entries
-
-
 def active_plan() -> list[dict[str, Any]]:
     """The current process's chaos plan (re-read per call: env may change)."""
-    return parse_plan(os.environ.get(CHAOS_ENV))
+    return [
+        entry
+        for entry in knobs.chaos()
+        if isinstance(entry, dict) and entry.get("action") in _ACTIONS
+    ]
 
 
 def _matches(selector: Any, value: Any, default: Any = "*") -> bool:

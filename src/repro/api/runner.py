@@ -32,7 +32,6 @@ Backend selection (``backend="auto"``):
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro import knobs
 from repro.api.registry import REGISTRY, AlgorithmRegistry, criterion_factory
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
@@ -51,29 +51,22 @@ from repro.exceptions import (
     WorkerCrash,
     is_retryable,
 )
-from repro.fast.arena import maybe_trim
 from repro.fast.tiling import resolve_tile_width
 from repro.sim.engine import RoundHook
 from repro.sim.run import TrialStats, run_trial
 
 BACKENDS = ("auto", "agent", "fast")
 
-#: Environment variable choosing the default worker-process count.
-WORKERS_ENV = "REPRO_WORKERS"
-
 
 def default_workers() -> int:
-    """Worker processes from ``$REPRO_WORKERS`` (default 1, floor 1).
+    """Worker processes from ``$REPRO_WORKERS`` (default 1).
 
-    The one shared parser for every entry point (experiment runners, the
-    ``repro.api`` CLI, :func:`repro.api.run_study`): unparseable or
-    non-positive values fall back to serial execution rather than erroring
-    — a bad environment variable should never break a reproduction run.
+    The one shared reader for every entry point (experiment runners, the
+    ``repro.api`` CLI, :func:`repro.api.run_study`).  Anything but an
+    integer >= 1 raises :class:`~repro.exceptions.ConfigurationError`
+    (:mod:`repro.knobs`).
     """
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+    return knobs.workers()
 
 
 def resolve_backend(
@@ -410,10 +403,6 @@ def _run_task_packed(
 
     chaos.maybe_inject(chaos_scope, chaos_task, attempt, task[0], "start")
     reports = _run_task(task)
-    # Long-lived pool workers honour the $REPRO_ARENA_TRIM_BYTES retention
-    # cap between tasks, so one huge-n chunk cannot pin its working set
-    # for the rest of the pool's life (no-op when the cap is unset).
-    maybe_trim()
     if task[0] != "batch":
         return reports
     packed = pack_reports(reports)

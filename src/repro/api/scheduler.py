@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Iterator
 from repro.api.cache import ResultCache, resolve_cache
 from repro.api.registry import REGISTRY
 from repro.api.results import ResultTable
-from repro.api.spill import maybe_spill
 from repro.api.runner import (
     ExecutionPolicy,
     WorkerPool,
@@ -70,7 +69,6 @@ from repro.exceptions import (
     ConfigurationError,
     is_retryable,
 )
-from repro.fast.arena import maybe_trim
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.sweep import Cell
@@ -156,14 +154,7 @@ class CellScheduler:
         waiting for the whole study.
         """
         for cell in self.cells():
-            result = self._run_cell(cell)
-            # Between cells is the one boundary where no kernel is
-            # mid-flight in this thread: apply the arena retention cap so
-            # a single huge-n cell cannot bloat a long-lived worker for
-            # the rest of the study (no-op unless $REPRO_ARENA_TRIM_BYTES
-            # is set; pool workers trim on their own side per task).
-            maybe_trim()
-            yield result
+            yield self._run_cell(cell)
 
     def run(self) -> StudyResult:
         """Execute every cell and fold the outcomes into a StudyResult."""
@@ -310,17 +301,10 @@ def fold_study_result(
                 hits += 1
             else:
                 misses += 1
-    # Huge studies go out of core here: maybe_spill is the identity unless
-    # $REPRO_SPILL_DIR is set and the table exceeds its row/byte budget,
-    # in which case the returned table is memmap-backed (same interface,
-    # same bits — docs/PERFORMANCE.md §8).
-    table = maybe_spill(
-        ResultTable.from_rows([_result_row(result) for result in results])
-    )
     return StudyResult(
         study=study,
         cells=tuple(results),
-        table=table,
+        table=ResultTable.from_rows([_result_row(result) for result in results]),
         cache_hits=hits,
         cache_misses=misses,
         simulated_trials=simulated,

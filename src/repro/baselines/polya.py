@@ -149,11 +149,11 @@ def urn_win_probability(
     the probability that the initially-larger nest wins the house-hunt; the
     curve sharpens as the initial gap grows — Lemma 5.7's multiplicative
     gap amplification in urn form.
+
+    Trial ``t`` draws from the child stream ``rng.spawn(trials)[t]``, so
+    all trials run as one :func:`polya_batch`.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    wins = 0
-    for _ in range(trials):
-        counts, _ = polya_batch([initial_a, initial_b], gamma, steps, [rng])
-        wins += int(counts[0, 0] > counts[0, 1])
-    return wins / trials
+    counts, _ = polya_batch([initial_a, initial_b], gamma, steps, rng.spawn(trials))
+    return float(np.mean(counts[:, 0] > counts[:, 1]))

@@ -13,11 +13,11 @@ the tables never depend on the machine.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
+from repro import knobs
 from repro.api import Study, StudyResult, default_cache, default_workers, run_study
 from repro.sim.rng import RandomSource
 
@@ -37,9 +37,9 @@ def execute_study(study: Study) -> StudyResult:
     experiment scripts then shares one warm worker pool and result cache.
     Either path yields a bit-identical result table.
     """
-    from repro.service.client import SERVICE_URL_ENV, ServiceClient
+    from repro.service.client import ServiceClient
 
-    if os.environ.get(SERVICE_URL_ENV):
+    if knobs.service_url():
         return ServiceClient().run_study(study)
     return run_study(study, workers=default_workers(), cache=default_cache())
 

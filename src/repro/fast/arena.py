@@ -19,26 +19,19 @@ Rules of use (the kernels' discipline, not enforced machinery):
 - nothing is zeroed for you — callers fill or overwrite entirely.
 
 Buffers are grow-only *within* a workload, which is exactly right for a
-sweep's homogeneous chunks but wrong for a long-lived service worker: one
-huge-n cell would pin its peak working set forever.  :meth:`Arena.release`
-is the explicit trim hook (ROADMAP item 5) — the scheduler calls it
-between cells, workers call it after each task when ``$REPRO_ARENA_TRIM_BYTES``
-caps the retained pool — and :func:`arena_stats` surfaces current and
-high-water bytes across every arena in the process (the service ``/stats``
-memory panel).
+sweep's homogeneous chunks: one huge-n cell keeps its peak working set
+until the arena is released.  :meth:`Arena.release` is the explicit trim
+(``benchmarks/bench_scale.py`` calls it between measurements), and
+:func:`arena_stats` surfaces current and high-water bytes across every
+arena in the process (the service ``/stats`` memory panel).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
 import numpy as np
-
-#: Environment variable: retained-bytes cap applied by :func:`maybe_trim`
-#: after each worker task.  Unset or unparseable means "never trim".
-ARENA_TRIM_ENV = "REPRO_ARENA_TRIM_BYTES"
 
 #: Every Arena constructed in this process, for :func:`arena_stats`.
 #: Weak references: registering must not keep test-local arenas alive.
@@ -171,7 +164,7 @@ def arena_stats() -> dict:
     construction), so a threaded service daemon reports the sum over its
     worker threads' pools.  Note this is the *coordinator* process only —
     subprocess pool workers have their own arenas in their own address
-    spaces, bounded by the same per-task trim (:func:`maybe_trim`).
+    spaces.
     """
     with _REGISTRY_LOCK:
         arenas = list(_REGISTRY)
@@ -180,29 +173,6 @@ def arena_stats() -> dict:
         "retained_bytes": sum(a.nbytes() for a in arenas),
         "high_water_bytes": sum(a.high_water_bytes for a in arenas),
     }
-
-
-def maybe_trim(arena: Arena | None = None) -> int:
-    """Apply the ``$REPRO_ARENA_TRIM_BYTES`` retention cap, if one is set.
-
-    The per-task hook for long-lived workers: after finishing a task, a
-    worker calls this to cap what its pool may carry into the next task.
-    Unset (the default) means "retain everything" — the classic sweep
-    behaviour, where back-to-back homogeneous chunks want the pool warm.
-    Returns the bytes released (0 when no cap is set or the pool fits).
-    """
-    setting = os.environ.get(ARENA_TRIM_ENV, "").strip()
-    if not setting:
-        return 0
-    try:
-        cap = int(setting)
-    except ValueError:
-        return 0
-    if cap < 0:
-        return 0
-    if arena is None:
-        arena = shared_arena()
-    return arena.release(cap)
 
 
 def compact_rows(keep_index: np.ndarray, *views: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -28,18 +28,19 @@ surface it honestly.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
 
+from repro import knobs
 from repro.exceptions import ConfigurationError
 from repro.fast.arena import shared_arena
 from repro.fast.backends import cext, looped
 from repro.fast.backends.numpy_ops import NumpyOps
 from repro.fast.backends.state import PerturbedState
+from repro.knobs import BACKEND_NAMES
 
 __all__ = [
     "BACKEND_NAMES",
@@ -53,9 +54,6 @@ __all__ = [
     "resolve_backend",
     "use_backend",
 ]
-
-#: Valid ``kernel_backend`` / ``$REPRO_FAST_BACKEND`` values.
-BACKEND_NAMES = ("auto", "cext", "numpy", "python")
 
 #: Degradation chain per requested name: first available entry wins.
 _CHAIN = {
@@ -107,7 +105,7 @@ def default_backend_name() -> str:
     """The process-level request: override, else env var, else ``auto``."""
     if _OVERRIDE is not None:
         return _OVERRIDE
-    return os.environ.get("REPRO_FAST_BACKEND", "auto")
+    return knobs.fast_backend()
 
 
 def resolve_backend(requested: str | None = None) -> tuple[str, str | None]:

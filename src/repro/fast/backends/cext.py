@@ -38,6 +38,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro import knobs
+
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
 #: Lazy build product: (namespace, None) or (None, human-readable reason).
@@ -56,8 +58,8 @@ def _compiler() -> str | None:
 
 
 def _build_dir() -> Path:
-    override = os.environ.get("REPRO_CEXT_CACHE")
-    if override:
+    override = knobs.cext_cache()
+    if override is not None:
         return Path(override)
     tag = f"repro-cext-py{sys.version_info[0]}{sys.version_info[1]}"
     return Path(tempfile.gettempdir()) / tag

@@ -26,21 +26,21 @@ golden digests.
 
 Settings (the :func:`resolve_tile_width` contract):
 
-- unset / ``"auto"`` — tile at :data:`DEFAULT_TILE_ANTS` once ``n``
-  exceeds :data:`AUTO_TILE_THRESHOLD`; small colonies run untiled (one
-  tile of width ``n`` would only add loop overhead);
+- unset / blank / ``"auto"`` — tile at :data:`DEFAULT_TILE_ANTS` once
+  ``n`` exceeds :data:`AUTO_TILE_THRESHOLD`; small colonies run untiled
+  (one tile of width ``n`` would only add loop overhead);
 - ``"none"`` / ``"off"`` / ``"0"`` — tiling disabled at any ``n``;
 - a positive integer — that tile width, verbatim (widths ``>= n`` run
-  as a single tile).
+  as a single tile);
+- anything else raises :class:`~repro.exceptions.ConfigurationError`
+  (:func:`repro.knobs.tile_ants`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
-#: Environment variable selecting the ant-axis tile width.
-TILE_ANTS_ENV = "REPRO_TILE_ANTS"
+from repro import knobs
 
 #: Auto-policy tile width: 16 Ki ants keeps one float64 tile row at
 #: 128 KiB — comfortably cache-sized — while the per-round Python loop
@@ -58,29 +58,14 @@ def resolve_tile_width(n: int, setting: str | None = None) -> int | None:
 
     ``None`` means "run the untiled fast path".  ``setting`` overrides the
     ``$REPRO_TILE_ANTS`` lookup (tests inject values without touching the
-    process environment).  Unparseable or negative settings fall back to
-    the auto policy rather than erroring — a bad environment variable
-    must never break a reproduction run (the
-    :func:`~repro.api.runner.default_workers` convention).
+    process environment) and is parsed by the same rule: a malformed
+    value raises :class:`~repro.exceptions.ConfigurationError`.
     """
-    if setting is None:
-        setting = os.environ.get(TILE_ANTS_ENV, "")
-    text = setting.strip().lower()
-    if text in ("none", "off", "0"):
-        return None
-    if text in ("", "auto"):
-        if n <= AUTO_TILE_THRESHOLD:
-            return None
-        return DEFAULT_TILE_ANTS
-    try:
-        width = int(text)
-    except ValueError:
-        return resolve_tile_width(n, "auto")
-    if width <= 0:
-        return resolve_tile_width(n, "auto")
-    if width >= n:
-        return None  # a single full-width tile IS the untiled path
-    return width
+    width = knobs.tile_ants(setting)
+    if width is None:
+        width = DEFAULT_TILE_ANTS if n > AUTO_TILE_THRESHOLD else 0
+    # A single full-width tile IS the untiled path.
+    return width if 0 < width < n else None
 
 
 def tile_spans(n: int, tile: int) -> Iterator[tuple[int, int]]:

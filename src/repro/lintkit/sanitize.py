@@ -2,8 +2,9 @@
 
 The static rules catch what the AST can see; this module catches what it
 cannot — numerical state going bad *at run time*.  When the environment
-variable ``REPRO_SANITIZE`` is truthy, :func:`sanitized` wraps a kernel
-entry point so that every invocation:
+variable ``REPRO_SANITIZE`` is on (``1``/``true``/``yes``/``on``; see
+:func:`repro.knobs.sanitize`), :func:`sanitized` wraps a kernel entry
+point so that every invocation:
 
 - runs under ``np.errstate(invalid="raise", over="raise")``, turning
   silent NaN production and float overflow inside the round loop into
@@ -18,23 +19,21 @@ entry point so that every invocation:
   backing storage overlaps means a ``buf()`` implementation bug
   (:func:`check_arena_aliasing`).
 
-When ``REPRO_SANITIZE`` is unset (the default, and the benchmarked
-configuration) the decorator returns the function unchanged — zero
-overhead, no behavior change, bit-identical goldens.
+When ``REPRO_SANITIZE`` is unset or off (the default, and the benchmarked
+configuration) the wrapper calls the kernel untouched — no behavior
+change, bit-identical goldens.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
-F = TypeVar("F", bound=Callable[..., Any])
+from repro import knobs
 
-_ENV_VAR = "REPRO_SANITIZE"
-_FALSY = {"", "0", "false", "no", "off"}
+F = TypeVar("F", bound=Callable[..., Any])
 
 
 class SanitizeError(AssertionError):
@@ -46,11 +45,11 @@ def sanitize_enabled() -> bool:
 
     Read per call, not at import, so tests can toggle the environment.
     """
-    return os.environ.get(_ENV_VAR, "").strip().lower() not in _FALSY
+    return knobs.sanitize()
 
 
 def _fail(kernel: str, message: str) -> None:
-    raise SanitizeError(f"[{_ENV_VAR}] {kernel}: {message}")
+    raise SanitizeError(f"[REPRO_SANITIZE] {kernel}: {message}")
 
 
 def check_run_result(result: Any, n: int, kernel: str) -> None:

@@ -19,7 +19,7 @@ a :class:`~repro.api.results.ResultTable` equal to the same study through
 See ``docs/SERVICE.md`` for the HTTP API and job lifecycle.
 """
 
-from repro.service.client import SERVICE_URL_ENV, ServiceClient, default_service_url
+from repro.service.client import ServiceClient, default_service_url
 from repro.service.daemon import StudyService
 from repro.service.dedupe import DedupingCache
 from repro.service.jobs import JOB_STATES, TERMINAL_STATES, Job, JobQueue
@@ -29,7 +29,6 @@ __all__ = [
     "JOB_STATES",
     "Job",
     "JobQueue",
-    "SERVICE_URL_ENV",
     "ServiceClient",
     "StudyService",
     "TERMINAL_STATES",

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 
-from repro.api.cache import CACHE_DIR_ENV, ResultCache
+from repro import knobs
+from repro.api.cache import ResultCache
 from repro.api.results import ResultTable
 from repro.api.scheduler import ExecutionPolicy
 from repro.api.store import DEFAULT_SHARDS, STORE_KINDS, make_store
@@ -106,7 +106,7 @@ def _build_policy(args: argparse.Namespace) -> ExecutionPolicy | None:
 
 
 def serve_main(args: argparse.Namespace) -> int:
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    cache_dir = args.cache_dir or knobs.cache_dir()
     if not cache_dir:
         cache_dir = tempfile.mkdtemp(prefix="repro-service-cache-")
         print(f"no cache dir configured; using throwaway {cache_dir}")

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import time
 import urllib.error
 import urllib.request
 from typing import Any, Iterator, Mapping
 
+from repro import knobs
 from repro.api.scheduler import fold_study_result
 from repro.api.sweep import (
     CellFailure,
@@ -36,16 +36,13 @@ from repro.api.sweep import (
 )
 from repro.exceptions import ReproError
 
-#: Environment variable naming the daemon's base URL.
-SERVICE_URL_ENV = "REPRO_SERVICE_URL"
-
 #: Where a daemon listens when nobody says otherwise.
 DEFAULT_URL = "http://127.0.0.1:8642"
 
 
 def default_service_url() -> str:
     """``$REPRO_SERVICE_URL`` when set, else the default local daemon."""
-    return os.environ.get(SERVICE_URL_ENV) or DEFAULT_URL
+    return knobs.service_url() or DEFAULT_URL
 
 
 class ServiceError(ReproError):
@@ -228,7 +225,6 @@ def _cell_result_from_event(expanded, event: Mapping[str, Any]) -> CellResult:
 
 __all__ = [
     "DEFAULT_URL",
-    "SERVICE_URL_ENV",
     "ServiceClient",
     "ServiceError",
     "default_service_url",

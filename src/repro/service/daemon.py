@@ -160,9 +160,8 @@ class StudyService:
             "jobs": by_state,
             "cache": None if self.cache is None else self.cache.stats(),
             # Kernel-arena memory across this process's executor threads:
-            # retained now vs. the high-water mark (ROADMAP item 5 — a
-            # huge-n cell's footprint must be visible, and trimmable via
-            # $REPRO_ARENA_TRIM_BYTES, not silently permanent).
+            # retained now vs. the high-water mark (a huge-n cell's
+            # footprint must be visible, not silently permanent).
             "arena": arena_stats(),
         }
 

@@ -70,10 +70,13 @@ class CommittedToSingleGoodNest(ConvergenceCriterion):
         state (Algorithm 3 and most baselines).
     exclude_faulty:
         Evaluate the predicate over the *healthy* ants only.  Crashed and
-        Byzantine ants can never change their commitment, so fault-injection
-        experiments (E12) would otherwise be unsatisfiable by construction;
-        the meaningful consensus claim is about correct processes, exactly
-        as in classical fault-tolerant consensus.
+        Byzantine ants can never change their commitment, so over the whole
+        colony the predicate fails for good once a crashed ant is stranded
+        off the winning nest (early crashes at a few percent often do this;
+        crashes after the colony has settled do not).  That is why
+        fault-injection experiments (E12) judge the healthy colony: the
+        meaningful consensus claim is about correct processes, exactly as
+        in classical fault-tolerant consensus.
     """
 
     def __init__(

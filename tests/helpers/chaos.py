@@ -22,8 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.chaos import CHAOS_ENV
-
 
 def entry(action: str, **fields: Any) -> dict[str, Any]:
     """One plan entry; unspecified selectors use the harness defaults."""
@@ -65,7 +63,7 @@ def plan_env(monkeypatch, *entries: dict[str, Any]) -> None:
     Worker pools fork after the test body starts, so the plan propagates
     into every worker the run creates.
     """
-    monkeypatch.setenv(CHAOS_ENV, json.dumps(list(entries)))
+    monkeypatch.setenv("REPRO_CHAOS", json.dumps(list(entries)))
 
 
 def seeded_plan(

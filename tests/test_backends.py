@@ -128,7 +128,7 @@ def test_env_var_is_the_process_default(monkeypatch):
 
 def test_env_var_typo_fails_loudly(monkeypatch):
     monkeypatch.setenv("REPRO_FAST_BACKEND", "cetx")
-    with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+    with pytest.raises(ConfigurationError, match="REPRO_FAST_BACKEND='cetx'"):
         resolve_backend(None)
 
 
@@ -198,7 +198,7 @@ def test_numba_is_an_unknown_backend(monkeypatch):
     with pytest.raises(ConfigurationError, match="unknown kernel backend"):
         run(_pin_scenario(kernel_backend="numba"))
     monkeypatch.setenv("REPRO_FAST_BACKEND", "numba")
-    with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+    with pytest.raises(ConfigurationError, match="REPRO_FAST_BACKEND='numba'"):
         resolve_backend(None)
     assert BACKEND_NAMES == ("auto", "cext", "numpy", "python")
 

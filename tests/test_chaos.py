@@ -33,6 +33,7 @@ from repro.api import (
 )
 from repro.api import chaos
 from repro.api.chaos import ChaosError
+from repro.exceptions import ConfigurationError
 from tests.helpers.chaos import (
     flake,
     kill,
@@ -66,19 +67,23 @@ def _study(ns: tuple = (32, 48), trials: int = 6) -> Study:
     )
 
 
-class TestPlanParsing:
-    def test_unset_and_switch_values_mean_empty_plan(self):
-        assert chaos.parse_plan(None) == []
-        assert chaos.parse_plan("") == []
-        assert chaos.parse_plan("1") == []
-        assert chaos.parse_plan("on") == []
-        assert chaos.parse_plan("TRUE") == []
+def plan_of(monkeypatch, value):
+    monkeypatch.setenv("REPRO_CHAOS", value)
+    return chaos.active_plan()
 
-    def test_inline_json_list(self):
-        plan = chaos.parse_plan('[{"action": "kill", "task": 2}]')
+
+class TestPlanParsing:
+    def test_unset_and_switch_values_mean_empty_plan(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        assert chaos.active_plan() == []
+        for value in ("", "1", "on", "TRUE", "0", "off"):
+            assert plan_of(monkeypatch, value) == []
+
+    def test_inline_json_list(self, monkeypatch):
+        plan = plan_of(monkeypatch, '[{"action": "kill", "task": 2}]')
         assert plan == [{"action": "kill", "task": 2}]
 
-    def test_entries_object_and_unknown_actions_filtered(self):
+    def test_entries_object_and_unknown_actions_filtered(self, monkeypatch):
         text = json.dumps(
             {
                 "entries": [
@@ -88,18 +93,24 @@ class TestPlanParsing:
                 ]
             }
         )
-        assert chaos.parse_plan(text) == [{"action": "stall", "seconds": 1}]
+        assert plan_of(monkeypatch, text) == [{"action": "stall", "seconds": 1}]
+        assert plan_of(monkeypatch, '{"no": "entries"}') == []
 
-    def test_file_reference(self, tmp_path):
+    def test_file_reference(self, monkeypatch, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text('[{"action": "flake"}]', encoding="utf-8")
-        assert chaos.parse_plan(f"@{path}") == [{"action": "flake"}]
-        assert chaos.parse_plan(str(path)) == [{"action": "flake"}]
+        assert plan_of(monkeypatch, f"@{path}") == [{"action": "flake"}]
 
-    def test_malformed_values_never_break_a_run(self, tmp_path):
-        assert chaos.parse_plan("{not json") == []
-        assert chaos.parse_plan('{"no": "entries"}') == []
-        assert chaos.parse_plan(str(tmp_path / "missing.json")) == []
+    @pytest.mark.parametrize(
+        "value",
+        ["{not json", "@{tmp}/missing.json", "{tmp}/plan.json", '{"entries": 5}', "banana"],
+    )
+    def test_malformed_values_are_rejected(self, monkeypatch, tmp_path, value):
+        """A mistyped plan must stop the run, not pass for an undisturbed
+        one.  A bare path (no ``@``) is not a plan reference."""
+        (tmp_path / "plan.json").write_text('[{"action": "flake"}]')
+        with pytest.raises(ConfigurationError, match="REPRO_CHAOS"):
+            plan_of(monkeypatch, value.replace("{tmp}", str(tmp_path)))
 
     def test_inject_matches_coordinates(self, monkeypatch):
         plan_env(monkeypatch, poison(scope="cellX", task=2))
@@ -112,7 +123,7 @@ class TestPlanParsing:
             chaos.maybe_inject("cellX", 2, 0, "batch", "start")
 
     def test_inject_without_plan_is_inert(self, monkeypatch):
-        monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         chaos.maybe_inject("cell0", 0, 0, "batch", "start")
 
 
@@ -204,7 +215,7 @@ class TestAcceptanceScenario:
         with an empty plan — results must be untouched."""
         study = _study(ns=(32,))
         undisturbed = run_study(study, cache=None)
-        monkeypatch.setenv(chaos.CHAOS_ENV, "1")
+        monkeypatch.setenv("REPRO_CHAOS", "1")
         smoke = run_study(
             study, workers=2, cache=None, batch_chunk=2, policy=POLICY
         )

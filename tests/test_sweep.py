@@ -353,10 +353,16 @@ class TestDefaultWorkers:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert default_workers() == 1
 
-    @pytest.mark.parametrize("raw", ["", "abc", "2.5", "-3", "0"])
-    def test_invalid_values_fall_back_to_serial(self, monkeypatch, raw):
+    @pytest.mark.parametrize("raw", ["", "  "])
+    def test_blank_defaults_to_one(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_WORKERS", raw)
         assert default_workers() == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "-3", "0"])
+    def test_invalid_values_are_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_WORKERS"):
+            default_workers()
 
     def test_experiments_share_the_helper(self):
         from repro.experiments import common

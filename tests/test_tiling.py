@@ -10,11 +10,13 @@ Four layers, smallest to largest:
    stop being bit-invisible: this suite turns that into a loud failure);
 3. the segmented matcher resolution (same pair set as the batched
    resolver, ``O(n)`` scratch) and the tile-aware chunk policy;
-4. the arena trim/high-water API and a marked-slow n = 10^5 smoke
+4. the arena release/high-water API and a marked-slow n = 10^5 smoke
    asserting the tiled kernel's peak allocation bound via tracemalloc.
 
 The end-to-end bit-identity statement lives in
-``tests/test_golden_digests.py`` (the ``REPRO_TILE_ANTS`` matrix).
+``tests/test_golden_digests.py`` (the ``REPRO_TILE_ANTS`` matrix); the
+study-level cross-check (tiled and untiled runs fold to ``equals``-
+identical tables, cold and warm) is :class:`TestTiledVsUntiledTables`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.api import ResultCache, Study, Sweep, grid, nests_spec, run_study
 from repro.api.runner import (
     MAX_DEFAULT_CHUNK,
     MAX_STATE_ELEMS,
     MIN_DEFAULT_CHUNK,
     default_batch_chunk,
 )
-from repro.fast.arena import Arena, arena_stats, maybe_trim, shared_arena
+from repro.exceptions import ConfigurationError
+from repro.fast.arena import Arena, arena_stats, shared_arena
 from repro.fast.batch_matcher import match_pairs_batch
 from repro.fast.tiling import (
     AUTO_TILE_THRESHOLD,
@@ -67,11 +71,15 @@ class TestResolveTileWidth:
         assert resolve_tile_width(128, "135") is None
         assert resolve_tile_width(128, "1000") is None
 
-    def test_garbage_falls_back_to_auto(self):
-        # A bad environment variable must never break a run.
-        assert resolve_tile_width(128, "ants") is None
-        assert resolve_tile_width(10**6, "ants") == DEFAULT_TILE_ANTS
-        assert resolve_tile_width(10**6, "-5") == DEFAULT_TILE_ANTS
+    @pytest.mark.parametrize("setting", ["ants", "-5", "2.5"])
+    def test_garbage_is_rejected(self, setting):
+        # A typo must stop the run, not silently pick a tile width.
+        with pytest.raises(ConfigurationError, match="REPRO_TILE_ANTS"):
+            resolve_tile_width(10**6, setting)
+
+    def test_blank_means_auto(self):
+        assert resolve_tile_width(128, "  ") is None
+        assert resolve_tile_width(10**6, "") == DEFAULT_TILE_ANTS
 
     def test_env_lookup(self, monkeypatch):
         monkeypatch.setenv("REPRO_TILE_ANTS", "777")
@@ -238,7 +246,7 @@ class TestDefaultBatchChunk:
         assert tiled == untiled == 8
 
 
-# -- arena trim / high-water -------------------------------------------------
+# -- arena release / high-water ----------------------------------------------
 
 
 class TestArenaRelease:
@@ -289,22 +297,46 @@ class TestArenaRelease:
         assert after["retained_bytes"] >= before["retained_bytes"] + 8000
         assert after["high_water_bytes"] >= after["retained_bytes"]
 
-    def test_maybe_trim_respects_env(self, monkeypatch):
-        arena = Arena()
-        arena.buf("x", (10000,), np.float64)
-        monkeypatch.delenv("REPRO_ARENA_TRIM_BYTES", raising=False)
-        assert maybe_trim(arena) == 0
-        monkeypatch.setenv("REPRO_ARENA_TRIM_BYTES", "not a number")
-        assert maybe_trim(arena) == 0
-        monkeypatch.setenv("REPRO_ARENA_TRIM_BYTES", "0")
-        assert maybe_trim(arena) == 80000
-        assert arena.nbytes() == 0
 
-    def test_maybe_trim_defaults_to_shared_arena(self, monkeypatch):
-        shared_arena().buf("tiling.test", (1000,), np.float64)
-        monkeypatch.setenv("REPRO_ARENA_TRIM_BYTES", "0")
-        assert maybe_trim() > 0
-        assert shared_arena().nbytes() == 0
+# -- study-level cross-check -------------------------------------------------
+
+
+def tiny_study() -> Study:
+    return Study(
+        name="tiling-study",
+        sweep=Sweep(
+            base={
+                "algorithm": "simple",
+                "nests": nests_spec("all_good", k=2),
+                "seed": 11,
+                "max_rounds": 10_000,
+            },
+            axes=(grid("n", (16, 32, 64)),),
+        ),
+        trials=3,
+        metrics=("n_trials", "success_rate", "median_rounds"),
+    )
+
+
+class TestTiledVsUntiledTables:
+    """The tiling acceptance cross-check at the study level: tiled and
+    untiled runs fold to ``equals``-identical tables, cold and warm."""
+
+    def test_cold_tables_identical(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TILE_ANTS", "none")
+        untiled = run_study(tiny_study())
+        monkeypatch.setenv("REPRO_TILE_ANTS", "7")  # non-divisor of 16/32/64
+        tiled = run_study(tiny_study())
+        assert untiled.table.equals(tiled.table)
+
+    def test_warm_tables_identical(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setenv("REPRO_TILE_ANTS", "none")
+        cold = run_study(tiny_study(), cache=cache)
+        monkeypatch.setenv("REPRO_TILE_ANTS", "7")
+        warm = run_study(tiny_study(), cache=cache)
+        assert warm.cache_hits == 3 and warm.simulated_trials == 0
+        assert cold.table.equals(warm.table)
 
 
 # -- the n = 10^5 peak-memory smoke ------------------------------------------
