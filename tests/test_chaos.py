@@ -103,7 +103,13 @@ class TestPlanParsing:
 
     @pytest.mark.parametrize(
         "value",
-        ["{not json", "@{tmp}/missing.json", "{tmp}/plan.json", '{"entries": 5}', "banana"],
+        [
+            "{not json",
+            "@{tmp}/missing.json",
+            "{tmp}/plan.json",
+            '{"entries": 5}',
+            "banana",
+        ],
     )
     def test_malformed_values_are_rejected(self, monkeypatch, tmp_path, value):
         """A mistyped plan must stop the run, not pass for an undisturbed

@@ -103,7 +103,9 @@ def test_accepted_values(clean_env, name, value, expected):
 
 
 @pytest.mark.parametrize("name, value", MALFORMED)
-def test_malformed_values_raise_naming_the_variable(clean_env, tmp_path, name, value):
+def test_malformed_values_raise_naming_the_variable(
+    clean_env, tmp_path, name, value
+):
     value = value.replace("{tmp}", str(tmp_path))
     clean_env.setenv(name, value)
     with pytest.raises(ConfigurationError) as err:
@@ -120,16 +122,6 @@ def test_blank_means_the_default(clean_env, name, value):
     assert reader() == default
 
 
-def test_public_readers_fall_back_to_their_defaults(clean_env):
-    assert default_workers() == 1
-    assert default_backend_name() == "auto"
-    assert resolve_tile_width(10**6) == 16_384
-    assert default_cache() is None
-    assert default_service_url() == DEFAULT_URL
-    assert sanitize_enabled() is False
-    assert chaos.active_plan() == []
-
-
 def test_path_knobs_reach_their_callers(clean_env, tmp_path):
     clean_env.setenv("REPRO_CEXT_CACHE", str(tmp_path / "cext"))
     assert cext._build_dir() == tmp_path / "cext"
@@ -144,6 +136,13 @@ def test_names_the_library_does_not_own_are_ignored(clean_env):
     clean_env.setenv("REPRO_BENCH_PROFILE", "quick")
     for reader, default in READERS.values():
         assert reader() == default
+    assert default_workers() == 1
+    assert default_backend_name() == "auto"
+    assert resolve_tile_width(10**6) == 16_384
+    assert default_cache() is None
+    assert default_service_url() == DEFAULT_URL
+    assert sanitize_enabled() is False
+    assert chaos.active_plan() == []
 
 
 def test_every_value_perfbench_pins_runs(clean_env, tmp_path):
