@@ -77,10 +77,6 @@ class TestResolveTileWidth:
         with pytest.raises(ConfigurationError, match="REPRO_TILE_ANTS"):
             resolve_tile_width(10**6, setting)
 
-    def test_blank_means_auto(self):
-        assert resolve_tile_width(128, "  ") is None
-        assert resolve_tile_width(10**6, "") == DEFAULT_TILE_ANTS
-
     def test_env_lookup(self, monkeypatch):
         monkeypatch.setenv("REPRO_TILE_ANTS", "777")
         assert resolve_tile_width(10**6) == 777
