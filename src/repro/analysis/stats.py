@@ -10,9 +10,9 @@ claims live), and convergence-round summaries get bootstrap intervals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.exceptions import ConfigurationError
 
@@ -68,7 +68,7 @@ def wilson_interval(
         raise ConfigurationError("successes must be in 0..trials")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError("confidence must be in (0, 1)")
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denominator = 1.0 + z**2 / trials
     center = (p_hat + z**2 / (2 * trials)) / denominator

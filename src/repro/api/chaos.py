@@ -32,10 +32,12 @@ The hook (:func:`maybe_inject`) only runs inside ``_run_task_packed`` —
 the worker-side entrypoint — never on the serial in-process path, so a
 ``kill`` can never take down the parent.  A switch word such as
 ``$REPRO_CHAOS=1`` (the CI chaos-smoke form) means an empty plan.  A value
-that is neither a switch word nor a readable JSON plan raises
+that is neither a switch word nor a readable JSON plan, or a plan with an
+entry that is not an object naming one of the four actions, raises
 :class:`~repro.exceptions.ConfigurationError` naming the variable: a
-mistyped plan must not pass for an undisturbed run.  Entries whose
-``action`` is not one of the four are ignored.
+mistyped plan must not pass for an undisturbed run.  ``run_batch`` reads
+the plan once per call before it dispatches, so a bad plan fails a serial
+run exactly as it fails a parallel one.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from typing import Any
 from repro import knobs
 from repro.exceptions import ReproError, WorkerCrash
 
-_ACTIONS = {"kill", "stall", "raise", "flake"}
-
 
 class ChaosError(ReproError):
     """Raised by a ``raise`` chaos entry: a simulated deterministic crash."""
@@ -57,11 +57,7 @@ class ChaosError(ReproError):
 
 def active_plan() -> list[dict[str, Any]]:
     """The current process's chaos plan (re-read per call: env may change)."""
-    return [
-        entry
-        for entry in knobs.chaos()
-        if isinstance(entry, dict) and entry.get("action") in _ACTIONS
-    ]
+    return knobs.chaos()
 
 
 def _matches(selector: Any, value: Any, default: Any = "*") -> bool:

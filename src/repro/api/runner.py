@@ -552,7 +552,9 @@ def run_batch(
     deterministic chunk retry with exponential backoff.
     ``chaos_scope`` labels this call for the deterministic fault-injection
     harness (:mod:`repro.api.chaos`); it has no effect unless a
-    ``$REPRO_CHAOS`` plan targets it.
+    ``$REPRO_CHAOS`` plan targets it.  Every call reads the plan, so a
+    malformed one fails a serial run too, though its hooks fire only in
+    pool workers.
 
     Each trial derives its randomness from its own ``(seed, trial_index)``
     and the batch kernels consume those streams per trial, so the reports
@@ -566,9 +568,10 @@ def run_batch(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if batch_chunk is not None and batch_chunk < 1:
         raise ConfigurationError(f"batch_chunk must be >= 1, got {batch_chunk}")
-    # Resolve backends up front so configuration errors surface immediately
-    # (and identically) regardless of worker count.
+    # Resolve backends and read the chaos plan up front so configuration
+    # errors surface immediately (and identically) regardless of worker count.
     payloads = [(s, resolve_backend(s, backend)) for s in batch]
+    knobs.chaos()
 
     # Partition into batchable fast groups (keyed by everything but
     # randomness) and agent singles, remembering each input position.

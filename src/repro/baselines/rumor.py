@@ -21,11 +21,14 @@ graph — shapes spreading time.
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 class RumorMode(Enum):
@@ -84,6 +87,8 @@ def spread_on_graph(
     neighbor; each ignorant node (pull) likewise.  Raises if the graph is
     disconnected (the rumor could never cover it).
     """
+    import networkx as nx  # only this function needs it
+
     if graph.number_of_nodes() == 0:
         raise ConfigurationError("graph must be non-empty")
     if not nx.is_connected(graph):

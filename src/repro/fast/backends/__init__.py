@@ -8,8 +8,6 @@ selection machinery that picks one:
 ``numpy``   The reference realization (:class:`NumpyOps`) — the PR-5
             plane-at-a-time round loop.  Always available.
 ``cext``    ``_kernels.c`` compiled on demand with the host C compiler.
-``python``  ``looped.py`` interpreted — the executable specification.
-            Orders of magnitude slower; for debugging and parity tests.
 ==========  ==========================================================
 
 Every backend reproduces the numpy planes bit-for-bit (the golden-digest
@@ -21,9 +19,8 @@ recorded in extras (it is part of the scenario identity).
 Selection order: the ``kernel_backend`` scenario param (strongest), then
 a :func:`use_backend` override, then ``$REPRO_FAST_BACKEND``, default
 ``auto``.  Unavailable choices degrade down a fixed chain (cext → numpy)
-rather than fail — except ``python``, which is always exactly itself.
-:func:`resolve_backend` reports the degradation so the registry can
-surface it honestly.
+rather than fail; :func:`resolve_backend` reports the degradation so the
+registry can surface it honestly.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import numpy as np
 from repro import knobs
 from repro.exceptions import ConfigurationError
 from repro.fast.arena import shared_arena
-from repro.fast.backends import cext, looped
+from repro.fast.backends import cext
 from repro.fast.backends.numpy_ops import NumpyOps
 from repro.fast.backends.state import PerturbedState
 from repro.knobs import BACKEND_NAMES
@@ -60,7 +57,6 @@ _CHAIN = {
     "auto": ("cext", "numpy"),
     "cext": ("cext", "numpy"),
     "numpy": ("numpy",),
-    "python": ("python",),
 }
 
 #: Session override installed by :func:`use_backend` (tests, benchmarks).
@@ -71,8 +67,7 @@ _RESOLVER_CACHE: dict[str, Callable] = {}
 
 # Size-1 stand-ins for planes a feature flag gates off.  The kernels
 # never dereference them when the flag is clear (every access is guarded
-# or short-circuited), but the python loops still need a typed array in
-# the slot and ctypes a non-null pointer.
+# or short-circuited), but ctypes still needs a non-null pointer.
 _D_F64 = np.zeros(1, dtype=np.float64)
 _D_I32 = np.zeros(1, dtype=np.int32)
 _D_I64 = np.zeros(1, dtype=np.int64)
@@ -92,7 +87,7 @@ def _u8(plane: np.ndarray) -> np.ndarray:
 
 def availability(name: str) -> str | None:
     """Why ``name`` cannot run here, or ``None`` when it can."""
-    if name in ("numpy", "python"):
+    if name == "numpy":
         return None
     if name == "cext":
         return cext.availability()
@@ -147,8 +142,6 @@ def use_backend(name: str) -> Iterator[str]:
 
 def _kernels_for(name: str):
     """The array-signature kernel namespace behind a concrete backend."""
-    if name == "python":
-        return looped
     if name == "cext":
         return cext.kernels()
     raise ConfigurationError(f"backend {name!r} has no kernel namespace")
@@ -217,20 +210,29 @@ def _resolver_from_kernels(kernels) -> Callable:
     return resolve
 
 
+# Feature flags for decide_move (mirrored by the #defines in _kernels.c —
+# keep the two lists in sync).
+F_DELAYED = 1
+F_QUALITY = 2
+F_HAS_BYZ = 4
+F_ENFORCE_ZOMBIE = 8
+F_CRASH_AT_HOME = 16
+F_RATE_MULT = 32
+
+
 class CompiledOps:
-    """Drive the shared kernels namespace (python / cext).
+    """Drive the compiled kernels namespace (``cext``).
 
     The compiled ops take the same :class:`PerturbedState` as
     :class:`NumpyOps` but hand each stage to an array-signature kernel
-    over flat views.
+    of ``_kernels.c`` over flat views.
 
     **Epoch-bound argument cache.**  Every state plane is a leading-row
     prefix view of a grow-only arena buffer, so its *data pointer* is
     constant between compactions; the driver bumps ``st.epoch`` exactly
     when planes rebind.  :meth:`_bound` therefore resolves each stable
-    plane once per epoch — through the backend's optional ``prepare``
-    hook (cext: raw pointer ints; python: the flat views
-    themselves) — and the per-round calls pass those cached arguments
+    plane once per epoch — through the backend's ``prepare`` hook (raw
+    pointer ints) — and the per-round calls pass those cached arguments
     straight through.  Without this, pointer/view derivation was ~15 %
     of the cext round loop (16k ``.ctypes.data`` resolutions per batch).
     Only genuinely unstable arguments are prepared per call: the rate
@@ -239,13 +241,14 @@ class CompiledOps:
     health changes).
 
     The end-of-round phase advance is fused into ``decide_move`` (see
-    ``looped.py``), so :meth:`advance` is a no-op here.
+    ``pk_decide_move`` in ``_kernels.c``), so :meth:`advance` is a no-op
+    here.
     """
 
     def __init__(self, name: str, kernels) -> None:
         self.name = name
         self._kernels = kernels
-        self._prep = getattr(kernels, "prepare", None) or (lambda a: a)
+        self._prep = kernels.prepare
         self._bind = None
         self._bind_st = None
         self._bind_epoch = -1
@@ -326,17 +329,17 @@ class CompiledOps:
     def _flags(self, st) -> int:
         flags = 0
         if st.delayed:
-            flags |= looped.F_DELAYED
+            flags |= F_DELAYED
         if st.quality_weighted:
-            flags |= looped.F_QUALITY
+            flags |= F_QUALITY
         if st.has_byz:
-            flags |= looped.F_HAS_BYZ
+            flags |= F_HAS_BYZ
         if st.enforcing_zombies:
-            flags |= looped.F_ENFORCE_ZOMBIE
+            flags |= F_ENFORCE_ZOMBIE
         if st.crash_at_home:
-            flags |= looped.F_CRASH_AT_HOME
+            flags |= F_CRASH_AT_HOME
         if st.rate_mult:
-            flags |= looped.F_RATE_MULT
+            flags |= F_RATE_MULT
         return flags
 
     def decide_move(self, st) -> bool:

@@ -1,8 +1,8 @@
 /* Compiled round-loop kernels for the perturbed batch simulator.
  *
- * Pass-for-pass mirror of repro/fast/backends/looped.py (the executable
- * specification); see that module and docs/PERFORMANCE.md §7 for the
- * bit-identity argument.  The short version:
+ * One kernel per stage of the ops interface CompiledOps drives
+ * (backends/__init__.py), reproducing the reference NumpyOps bit for bit;
+ * the golden-digest suite pins this.  The rules (docs/PERFORMANCE.md §7):
  *
  *   - all RNG stays in numpy — these passes consume pre-drawn planes;
  *   - the probability pipeline performs the same IEEE-754 double ops in
@@ -10,7 +10,14 @@
  *     rate multiply, clip), with no multiply-add the compiler could
  *     contract into an FMA;
  *   - compile WITHOUT -ffast-math (cext.py passes -ffp-contract=off),
- *     so the doubles round exactly like numpy's.
+ *     so the doubles round exactly like numpy's;
+ *   - every pass is element-independent (each element depends only on
+ *     its own pre-round inputs), so splitting or fusing passes cannot
+ *     change a plane;
+ *   - the greedy matcher consumes the choices in slot-scan order, the
+ *     sequential schedule resolve_pairs_numpy reproduces: the same pair
+ *     set.  Pair order may differ between backends, because every
+ *     consumer scatters to unique destinations.
  *
  * Performance structure: each kernel is a short sequence of *branchless*
  * element passes over restrict-qualified flat planes — bool logic as
@@ -30,7 +37,8 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Feature flags — mirrored from looped.py; keep in sync. */
+/* Feature flags for pk_decide_move — mirrored by the F_* constants next to
+ * CompiledOps._flags in __init__.py; keep the two lists in sync. */
 #define F_DELAYED 1L
 #define F_QUALITY 2L
 #define F_HAS_BYZ 4L
@@ -38,6 +46,10 @@
 #define F_CRASH_AT_HOME 16L
 #define F_RATE_MULT 32L
 
+/* recruit_probability < 0 means the count/n feedback.  Returns 1 if any
+ * ant executes its assessment trip.  The phase advance is fused in: each
+ * element reads its pre-advance values before writing, and no later
+ * stage of the round reads phase_assess/latched. */
 long pk_decide_move(
     long mn, double dn,
     const double *restrict coins, const double *restrict stalls,
@@ -268,6 +280,9 @@ long pk_decide_move(
     return (long)acc;
 }
 
+/* Returns the total attempt count (0: the matcher and its draws are
+ * skipped).  Every attempting ant moved home in pk_decide_move, so att is
+ * counted within part. */
 long pk_participants(
     long m, long n,
     const int32_t *restrict position,
@@ -303,6 +318,9 @@ long pk_participants(
     return total;
 }
 
+/* Per row, scan participants in ant-id order; each attempt consumes one
+ * choice and pairs iff neither endpoint is paired yet (a failed recruiter
+ * stays recruitable). */
 long pk_greedy_match(
     long m, long n,
     const uint8_t *restrict part, const uint8_t *restrict att,
@@ -501,6 +519,8 @@ void pk_converged(
     }
 }
 
+/* The clean kernel's matcher: src_key strictly increasing (the scan
+ * priority) and used all-zero at key-space size on entry. */
 long pk_resolve_pairs(
     long ne,
     const int64_t *restrict src_key, const int64_t *restrict dst_key,

@@ -1,9 +1,9 @@
 """The ctypes C extension backend: gcc-compiled round-loop kernels.
 
-``_kernels.c`` (shipped next to this module) mirrors the branchless
-pass-structured kernels in :mod:`repro.fast.backends.looped` pass for
-pass.  This
-module compiles it on demand with whatever C compiler the host offers
+``_kernels.c`` (shipped next to this module) realizes the perturbed
+round's ops stages as branchless passes that reproduce the reference
+:class:`~repro.fast.backends.NumpyOps` bit for bit.  This module compiles
+it on demand with whatever C compiler the host offers
 (``$CC``, ``cc``, ``gcc``, ``clang``), caches the shared object in a
 per-user build directory keyed by the source digest, and wraps the
 symbols in the array-signature namespace the ops glue consumes — so the
@@ -136,8 +136,9 @@ def _p(array) -> int:
     """Raw data pointer; the planes are C-contiguous prefixes by contract.
 
     Accepts a pre-resolved pointer (``int``) unchanged, so the ops glue
-    can hand in pointers it cached through :func:`prepare` — the planes'
-    storage is epoch-stable — without the wrappers re-deriving them.
+    can hand in pointers it cached through the namespace's ``prepare`` —
+    the planes' storage is epoch-stable — without the wrappers
+    re-deriving them.
     """
     if type(array) is int:
         return array
@@ -145,17 +146,11 @@ def _p(array) -> int:
     return array.ctypes.data
 
 
-#: The glue's bind-time hook: resolve an array to the argument form this
-#: backend's wrappers consume (here: the raw data pointer).
-prepare = _p
-
-
 def _namespace(lib: ctypes.CDLL) -> SimpleNamespace:
-    """Wrappers matching the ``looped.py`` signatures exactly.
+    """Python wrappers with the ``pk_*`` signatures of ``_kernels.c``.
 
     Every array argument may be an ndarray or an already-prepared
-    pointer; sizes always travel as explicit scalars (the signatures were
-    aligned with ``_kernels.c`` for exactly this reason).
+    pointer; sizes always travel as explicit scalars, as in the C.
     """
 
     def decide_move(

@@ -677,10 +677,10 @@ def _simulate_simple_perturbed(
     (``decide_move`` / ``participants`` / ``match`` / ``observe`` /
     ``blend`` / ``advance`` / ``converged``) of
     :mod:`repro.fast.backends`.  ``kernel_backend`` pins the realization
-    (``numpy``, ``cext``, ``python``); every backend consumes
-    the same driver-drawn planes and reproduces the numpy realization
-    bit-for-bit (the golden-digest suite runs the perturbed cases across
-    backends), so selection is a pure performance knob.
+    (``numpy`` or ``cext``); both consume the same driver-drawn planes
+    and ``cext`` reproduces the numpy realization bit-for-bit (the
+    golden-digest suite runs the perturbed cases under each), so selection
+    is a pure performance knob.
     """
     prof = profiling.active()
     if prof is not None:

@@ -32,7 +32,10 @@ from repro.exceptions import ConfigurationError
 T = TypeVar("T")
 
 #: Valid ``kernel_backend`` pins and ``$REPRO_FAST_BACKEND`` values.
-BACKEND_NAMES = ("auto", "cext", "numpy", "python")
+BACKEND_NAMES = ("auto", "cext", "numpy")
+
+#: The actions a ``$REPRO_CHAOS`` plan entry may name.
+CHAOS_ACTIONS = ("kill", "stall", "raise", "flake")
 
 _ON = ("1", "true", "yes", "on")
 _OFF = ("0", "false", "no", "off")
@@ -91,16 +94,19 @@ def _url(text: str) -> str:
     return text
 
 
-def _plan(text: str) -> list:
+def _plan(text: str) -> list[dict[str, Any]]:
     if text.lower() in _ON + _OFF:
         return []
     if text.startswith("@"):
         text = Path(text[1:]).read_text(encoding="utf-8")
     data = json.loads(text)
     if isinstance(data, dict):
-        data = data.get("entries", [])
+        data = data.get("entries")
     if not isinstance(data, list):
         raise ValueError(text)
+    for entry in data:
+        if not isinstance(entry, dict) or entry.get("action") not in CHAOS_ACTIONS:
+            raise ValueError(text)
     return data
 
 
@@ -151,15 +157,17 @@ def sanitize() -> bool:
     )
 
 
-def chaos() -> list[Any]:
-    """``$REPRO_CHAOS``: the raw chaos-plan entries (``[]`` for no plan).
+def chaos() -> list[dict[str, Any]]:
+    """``$REPRO_CHAOS``: the chaos-plan entries (``[]`` for no plan).
 
     A switch word gives an empty plan; inline JSON or ``@path`` to a JSON
     file gives a list of entries, or an object whose ``entries`` key holds
-    one.
+    one.  Every entry must be an object whose ``action`` is one of
+    :data:`CHAOS_ACTIONS`.
     """
     return _read(
         "REPRO_CHAOS", _plan,
-        "a switch word (1/on, 0/off), inline JSON, or @path to a JSON plan",
+        "a switch word (1/on, 0/off), inline JSON, or @path to a JSON plan "
+        f"whose entries are objects with an action of {'/'.join(CHAOS_ACTIONS)}",
         [],
     )

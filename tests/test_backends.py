@@ -40,7 +40,7 @@ GOLDEN = load_golden()
 #: Concrete (non-``auto``) backends this host can actually run.
 CONCRETE = tuple(
     name
-    for name in ("cext", "numpy", "python")
+    for name in ("cext", "numpy")
     if availability(name) is None
 )
 
@@ -54,17 +54,12 @@ _PERTURBED_CASES = (
     "uniform_crash",
 )
 
-#: The interpreted specification is orders of magnitude slower, so it
-#: proves parity on the two feature-richest cases only.
-_PYTHON_CASES = ("simple_byzantine", "simple_composite")
-
 
 # -- selection and degradation ------------------------------------------------
 
 
-def test_numpy_and_python_always_available():
+def test_numpy_always_available():
     assert availability("numpy") is None
-    assert availability("python") is None
 
 
 def test_availability_unknown_name_raises():
@@ -83,15 +78,15 @@ def test_resolve_auto_is_available_and_not_degraded():
     assert degraded_from is None
 
 
-def test_resolve_python_is_exactly_itself():
-    assert resolve_backend("python") == ("python", None)
+def test_resolve_numpy_is_exactly_itself():
+    assert resolve_backend("numpy") == ("numpy", None)
 
 
 def test_degradation_is_reported(monkeypatch):
     """With compiled backends gone, explicit requests degrade loudly."""
 
     def only_numpy(name):
-        if name in ("numpy", "python"):
+        if name == "numpy":
             return None
         if name in BACKEND_NAMES:
             return f"{name} disabled for this test"
@@ -105,9 +100,9 @@ def test_degradation_is_reported(monkeypatch):
 
 def test_use_backend_yields_resolved_and_restores():
     before = default_backend_name()
-    with use_backend("python") as actual:
-        assert actual == "python"
-        assert default_backend_name() == "python"
+    with use_backend("numpy") as actual:
+        assert actual == "numpy"
+        assert default_backend_name() == "numpy"
     assert default_backend_name() == before
 
 
@@ -122,8 +117,8 @@ def test_env_var_is_the_process_default(monkeypatch):
     assert default_backend_name() == "numpy"
     assert resolve_backend(None) == ("numpy", None)
     # ...but a use_backend override wins over the environment.
-    with use_backend("python"):
-        assert resolve_backend(None)[0] == "python"
+    with use_backend("cext"):
+        assert default_backend_name() == "cext"
 
 
 def test_env_var_typo_fails_loudly(monkeypatch):
@@ -138,8 +133,6 @@ def test_env_var_typo_fails_loudly(monkeypatch):
 @pytest.mark.parametrize("backend", CONCRETE)
 @pytest.mark.parametrize("name", _PERTURBED_CASES)
 def test_perturbed_goldens_reproduce_under_every_backend(backend, name):
-    if backend == "python" and name not in _PYTHON_CASES:
-        pytest.skip("interpreted backend proves parity on the rich cases")
     with use_backend(backend) as actual:
         assert actual == backend  # CONCRETE entries never degrade
         reports = run_batch(CASES[name], workers=1)
@@ -192,15 +185,17 @@ def test_unknown_pin_rejected():
         run(_pin_scenario(kernel_backend="cuda"))
 
 
-def test_numba_is_an_unknown_backend(monkeypatch):
-    """numba is not a backend: its pin and its environment value are
-    rejected by name instead of silently degrading to cext."""
+@pytest.mark.parametrize("name", ["numba", "python"])
+def test_retired_backends_are_unknown(monkeypatch, name):
+    """The deleted numba and interpreted backends are not backends: their
+    pins and their environment values are rejected by name instead of
+    silently resolving to another realization."""
     with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-        run(_pin_scenario(kernel_backend="numba"))
-    monkeypatch.setenv("REPRO_FAST_BACKEND", "numba")
-    with pytest.raises(ConfigurationError, match="REPRO_FAST_BACKEND='numba'"):
+        run(_pin_scenario(kernel_backend=name))
+    monkeypatch.setenv("REPRO_FAST_BACKEND", name)
+    with pytest.raises(ConfigurationError, match=f"REPRO_FAST_BACKEND='{name}'"):
         resolve_backend(None)
-    assert BACKEND_NAMES == ("auto", "cext", "numpy", "python")
+    assert BACKEND_NAMES == ("auto", "cext", "numpy")
 
 
 @pytest.mark.parametrize("algorithm", ["simple", "adaptive", "uniform"])

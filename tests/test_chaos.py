@@ -83,18 +83,19 @@ class TestPlanParsing:
         plan = plan_of(monkeypatch, '[{"action": "kill", "task": 2}]')
         assert plan == [{"action": "kill", "task": 2}]
 
-    def test_entries_object_and_unknown_actions_filtered(self, monkeypatch):
-        text = json.dumps(
-            {
-                "entries": [
-                    {"action": "stall", "seconds": 1},
-                    {"action": "reformat-disk"},
-                    "not-a-dict",
-                ]
-            }
-        )
-        assert plan_of(monkeypatch, text) == [{"action": "stall", "seconds": 1}]
-        assert plan_of(monkeypatch, '{"no": "entries"}') == []
+    def test_entries_object_and_unknown_actions_rejected(self, monkeypatch):
+        """The object form reads its ``entries`` list.  An entry the hooks
+        could not run stops the run instead of being dropped, so a typo in
+        an action cannot pass for an undisturbed run."""
+        good = {"action": "stall", "seconds": 1}
+        text = json.dumps({"entries": [good]})
+        assert plan_of(monkeypatch, text) == [good]
+        for bad in ({"action": "reformat-disk"}, {"seconds": 1}, "not-a-dict"):
+            text = json.dumps({"entries": [good, bad]})
+            with pytest.raises(ConfigurationError, match="REPRO_CHAOS"):
+                plan_of(monkeypatch, text)
+        with pytest.raises(ConfigurationError, match="REPRO_CHAOS"):
+            plan_of(monkeypatch, '{"no": "entries"}')
 
     def test_file_reference(self, monkeypatch, tmp_path):
         path = tmp_path / "plan.json"
@@ -261,6 +262,14 @@ class TestOneDispatchPath:
             scenarios, workers=2, batch_chunk=2, policy=POLICY
         )
         self._assert_same(serial, recovered)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_plan_fails_at_every_worker_count(self, monkeypatch, workers):
+        """The parent reads the plan before it dispatches, so a serial run
+        rejects a malformed plan exactly as a pooled one does."""
+        monkeypatch.setenv("REPRO_CHAOS", "{bad")
+        with pytest.raises(ConfigurationError, match="REPRO_CHAOS"):
+            run_batch(self._scenarios(), workers=workers, batch_chunk=2)
 
     def test_bare_parallel_run_batch_retries_a_flake(self, monkeypatch):
         """No ``policy=``: the default ExecutionPolicy still supervises."""

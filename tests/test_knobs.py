@@ -85,6 +85,11 @@ MALFORMED = [
     ("REPRO_SANITIZE", "banana"),
     ("REPRO_CHAOS", "{not json"),
     ("REPRO_CHAOS", "@{tmp}/missing.json"),
+    ("REPRO_CHAOS", '[{"action": "kil"}]'),
+    ("REPRO_CHAOS", '[{"action": "kill"}, {"task": 0}]'),
+    ("REPRO_CHAOS", '["kill"]'),
+    ("REPRO_CHAOS", '{"no": "entries"}'),
+    ("REPRO_CHAOS", '{"entries": {"action": "kill"}}'),
     ("REPRO_SERVICE_URL", "banana"),
 ]
 

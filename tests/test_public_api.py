@@ -1,10 +1,16 @@
 """Tests for the package's public surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPublicSurface:
@@ -58,3 +64,22 @@ class TestPublicSurface:
         from repro.experiments.__main__ import main
 
         assert main(["E99"]) == 2
+
+    @pytest.mark.parametrize("module", ["repro.experiments", "repro.service.daemon"])
+    def test_import_leaves_scipy_and_networkx_unloaded(self, module):
+        """Start-up imports numpy only: scipy and networkx, which the tests
+        use, stay out of a fresh process that imports the package."""
+        probe = (
+            f"import sys, {module}\n"
+            "print([m for m in ('scipy', 'networkx') if m in sys.modules])\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
