@@ -73,12 +73,11 @@ class TestPublicSurface:
             f"import sys, {module}\n"
             "print([m for m in ('scipy', 'networkx') if m in sys.modules])\n"
         )
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
