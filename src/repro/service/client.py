@@ -1,10 +1,11 @@
 """Thin HTTP client for the study service (stdlib ``urllib`` only).
 
 :class:`ServiceClient` wraps the daemon's JSON surface: submit a study,
-poll job status, stream completed cells as NDJSON, and fetch terminal
+read job status, stream completed cells as NDJSON, and fetch terminal
 results.  :meth:`ServiceClient.run_study` is the drop-in path: submit,
-wait, and rebuild a full :class:`~repro.api.sweep.StudyResult` locally
-from the job's cell events — re-folding through the same
+stream the cell events, read the status once, and rebuild a full
+:class:`~repro.api.sweep.StudyResult` locally from the events — no
+polling, no ``/result`` — re-folding through the same
 :func:`~repro.api.scheduler.fold_study_result` the daemon used, so the
 returned table is bit-identical to a local :func:`repro.api.run_study`
 of the same study.
@@ -23,6 +24,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
 from repro import knobs
@@ -35,6 +37,7 @@ from repro.api.sweep import (
     expand_study,
 )
 from repro.exceptions import ReproError
+from repro.service.jobs import TERMINAL_STATES
 
 #: Where a daemon listens when nobody says otherwise.
 DEFAULT_URL = "http://127.0.0.1:8642"
@@ -58,6 +61,30 @@ class ServiceClient:
 
     # -- raw HTTP -------------------------------------------------------------
 
+    @contextmanager
+    def _open(self, what: str, request: Any, timeout: float | None) -> Iterator[Any]:
+        """``urlopen`` whose HTTP and transport failures raise :class:`ServiceError`."""
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                yield response
+        except urllib.error.HTTPError as error:
+            detail = error.read().decode("utf-8", "replace")
+            try:
+                detail = json.loads(detail).get("error", detail)
+            except (ValueError, AttributeError):
+                pass
+            raise ServiceError(f"{what} -> {error.code}: {detail}") from error
+        except urllib.error.URLError as error:
+            raise ServiceError(
+                f"cannot reach study service at {self.url}: {error.reason}"
+            ) from error
+        except (OSError, http.client.HTTPException) as error:
+            # A daemon dropping mid-request (shutdown races) resets the
+            # socket below urllib's URLError wrapping; so does a timeout.
+            raise ServiceError(
+                f"connection to study service at {self.url} failed: {error!r}"
+            ) from error
+
     def _request(
         self, method: str, path: str, body: Mapping[str, Any] | None = None
     ) -> Any:
@@ -68,28 +95,8 @@ class ServiceClient:
             method=method,
             headers={"Content-Type": "application/json"},
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            detail = error.read().decode("utf-8", "replace")
-            try:
-                detail = json.loads(detail).get("error", detail)
-            except (ValueError, AttributeError):
-                pass
-            raise ServiceError(
-                f"{method} {path} -> {error.code}: {detail}"
-            ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach study service at {self.url}: {error.reason}"
-            ) from error
-        except (OSError, http.client.HTTPException) as error:
-            # A daemon dropping mid-request (shutdown races) resets the
-            # socket below urllib's URLError wrapping.
-            raise ServiceError(
-                f"connection to study service at {self.url} failed: {error!r}"
-            ) from error
+        with self._open(f"{method} {path}", request, self.timeout) as response:
+            return json.loads(response.read())
 
     # -- the API --------------------------------------------------------------
 
@@ -121,39 +128,36 @@ class ServiceClient:
     def shutdown(self) -> dict[str, Any]:
         return self._request("POST", "/shutdown")
 
-    def iter_cells(self, job_id: str, since: int = 0) -> Iterator[dict[str, Any]]:
-        """Stream a job's completed-cell events (blocks until it ends)."""
-        request = urllib.request.Request(
-            f"{self.url}/jobs/{job_id}/cells?since={since}"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=None) as response:
-                for line in response:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cell stream for {job_id} failed: {error}"
-            ) from error
+    def iter_cells(
+        self, job_id: str, since: int = 0, timeout: float | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """Stream a job's completed-cell events until the daemon ends the stream.
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float | None = None,
-        poll_seconds: float = 0.2,
-    ) -> dict[str, Any]:
-        """Poll until the job is terminal; returns the final snapshot."""
+        The end of the stream does not prove that the job ended: a killed
+        daemon ends it just as cleanly, so read the status afterwards.
+        ``timeout`` bounds each wait for a line and, checked per line, the
+        whole stream; running out raises :class:`ServiceError`.
+        """
+        path = f"/jobs/{job_id}/cells?since={since}"
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            snapshot = self.status(job_id)
-            if snapshot["state"] in ("done", "quarantined", "failed"):
-                return snapshot
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {snapshot['state']} after {timeout}s"
-                )
-            time.sleep(poll_seconds)
+        with self._open(f"GET {path}", f"{self.url}{path}", timeout) as response:
+            for line in response:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise ServiceError(f"job {job_id} still streaming after {timeout}s")
+                if line.strip():
+                    yield json.loads(line)
+
+    def _stream_then_status(self, job_id: str, timeout: float | None) -> tuple:
+        """Drain the job's cell stream, then read its status once."""
+        events = list(self.iter_cells(job_id, timeout=timeout))
+        snapshot = self.status(job_id)
+        if snapshot["state"] not in TERMINAL_STATES:
+            raise ServiceError(f"{job_id} is {snapshot['state']} but its stream ended")
+        return events, snapshot
+
+    def wait(self, job_id: str, timeout: float | None = None) -> dict[str, Any]:
+        """Block until the job is terminal; returns the final snapshot."""
+        return self._stream_then_status(job_id, timeout)[1]
 
     def result(self, job_id: str) -> dict[str, Any]:
         return self._request("GET", f"/jobs/{job_id}/result")
@@ -161,33 +165,29 @@ class ServiceClient:
     # -- the drop-in path ------------------------------------------------------
 
     def run_study(
-        self,
-        study: Study,
-        priority: int = 0,
-        timeout: float | None = None,
+        self, study: Study, priority: int = 0, timeout: float | None = None
     ) -> StudyResult:
-        """Submit, wait, and rebuild the full :class:`StudyResult`.
+        """Submit, stream the cells, read the status once, and re-fold them.
 
-        Cell results are reconstructed from the daemon's cell events and
-        re-folded locally, so ``.table`` is bit-identical to the daemon's
-        (and to a local run).  Per-cell ``stats`` are not shipped over the
-        wire — reconstructed cells carry ``stats=None``; everything the
-        experiment layer consumes (the table, quarantine/degrade flags,
-        cache counters) is exact.
+        Raises :class:`ServiceError` for a failed job, a stream that ends
+        before the job or misses a cell, and a run past ``timeout`` (see
+        :meth:`iter_cells`).  The re-folded ``.table`` is bit-identical to
+        the daemon's; rebuilt cells carry ``stats=None``, and the rest
+        (quarantine/degrade flags, cache counters) is exact.
         """
         job_id = self.submit(study, priority=priority)["job"]
-        snapshot = self.wait(job_id, timeout=timeout)
+        events, snapshot = self._stream_then_status(job_id, timeout)
         if snapshot["state"] == "failed":
             raise ServiceError(
                 f"job {job_id} failed: {snapshot.get('error', 'unknown error')}"
             )
-        data = self.result(job_id)
         expanded = expand_study(study)
-        cells = [
-            _cell_result_from_event(expanded, event) for event in data["events"]
-        ]
+        if sorted(int(event["cell"]) for event in events) != list(range(len(expanded))):
+            raise ServiceError(f"job {job_id}: incomplete cell stream")
+        cells = [_cell_result_from_event(expanded, event) for event in events]
         result = fold_study_result(study, cells, cached=True)
-        if list(result.table.to_dict()) != list(data["table"]):
+        columns = dict.fromkeys(key for event in events for key in event["row"])
+        if list(result.table.column_names) != list(columns):
             raise ServiceError(
                 f"job {job_id}: local re-fold disagrees with the daemon's "
                 "table columns — client and daemon are out of sync"

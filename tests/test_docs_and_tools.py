@@ -94,3 +94,30 @@ class TestBenchRegressionChecker:
         relative.write_text(json.dumps(record))
         (failure,) = checker.check_record(relative, 0.30)
         assert "trials_per_sec regressed" in failure
+
+
+class TestInstallMetadata:
+    def _setup(self, *args):
+        return subprocess.run(
+            [sys.executable, "setup.py", *args],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+
+    def test_name_and_version(self):
+        import repro
+
+        assert self._setup("--name", "--version").split() == [
+            "repro",
+            repro.__version__,
+        ]
+
+    def test_sources_include_the_kernel_source_and_the_packages(self, tmp_path):
+        self._setup("-q", "egg_info", "--egg-base", str(tmp_path))
+        sources = (tmp_path / "repro.egg-info" / "SOURCES.txt").read_text(
+            encoding="utf-8"
+        ).split()
+        assert "src/repro/fast/backends/_kernels.c" in sources
+        assert "src/repro/service/client.py" in sources

@@ -2,15 +2,26 @@
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
 
 import repro.api.scheduler as scheduler_module
-from repro.api import ResultCache, SQLiteStore, Study, Sweep, grid, nests_spec, run_study
+from repro.api import (
+    ExecutionPolicy,
+    ResultCache,
+    SQLiteStore,
+    Study,
+    Sweep,
+    grid,
+    nests_spec,
+    run_study,
+)
 from repro.service import DedupingCache, JobQueue, StudyService
+from repro.service.__main__ import main as service_main
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import serve
+from repro.service.http import _Handler, serve
 
 
 def study(seed: int = 9, ns=(16, 32), trials: int = 3, name: str = "svc-study") -> Study:
@@ -262,6 +273,94 @@ class TestHTTPSurface:
         assert warm.cache_hits == 2
         assert warm.simulated_trials == 0
 
+    def test_run_study_streams_then_reads_status_once(
+        self, client, service, monkeypatch
+    ):
+        requests = []
+        monkeypatch.setattr(
+            _Handler,
+            "log_request",
+            lambda handler, *args: requests.append((handler.command, handler.path)),
+        )
+        client.run_study(study(), timeout=60)
+        job_id = service.queue.jobs()[0].id
+        assert requests == [
+            ("POST", "/jobs"),
+            ("GET", f"/jobs/{job_id}/cells?since=0"),
+            ("GET", f"/jobs/{job_id}"),
+        ]
+
+    def test_timeouts_raise_while_the_job_runs(self, client, service, monkeypatch):
+        gate = threading.Event()
+        real_run_batch = scheduler_module.run_batch
+
+        def gated_run_batch(scenarios, **kwargs):
+            gate.wait(30)
+            return real_run_batch(scenarios, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "run_batch", gated_run_batch)
+        try:
+            start = time.monotonic()
+            with pytest.raises(ServiceError):
+                client.run_study(study(seed=56, name="gated"), timeout=0.5)
+            job_id = service.queue.jobs()[0].id
+            with pytest.raises(ServiceError):
+                client.wait(job_id, timeout=0.5)
+            assert time.monotonic() - start < 5
+        finally:
+            gate.set()
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+
+    def test_stream_deadline_spans_lines(self, client, monkeypatch):
+        real_run_batch = scheduler_module.run_batch
+
+        def slow_run_batch(scenarios, **kwargs):
+            time.sleep(0.2)
+            return real_run_batch(scenarios, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "run_batch", slow_run_batch)
+        drip = study(seed=57, ns=(16, 24, 32, 40, 48), name="drip")
+        job_id = client.submit(drip)["job"]
+        # Every line arrives within the 0.5 s socket timeout, but the
+        # stream as a whole outlives it.
+        with pytest.raises(ServiceError, match="still streaming"):
+            list(client.iter_cells(job_id, timeout=0.5))
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+
+    def test_run_study_raises_when_the_job_fails(self, client, service, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("substrate gone")
+
+        monkeypatch.setattr(scheduler_module, "run_batch", boom)
+        service.policy = ExecutionPolicy(quarantine=False, backoff_base=0)
+        with pytest.raises(ServiceError, match="CellQuarantined"):
+            client.run_study(study(seed=33, name="doomed"), timeout=60)
+
+    def test_run_study_returns_quarantined_cells(self, client, service, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("substrate gone")
+
+        monkeypatch.setattr(scheduler_module, "run_batch", boom)
+        service.policy = ExecutionPolicy(backoff_base=0)
+        remote = client.run_study(study(seed=34, name="limping"), timeout=60)
+        local = run_study(
+            study(seed=34, name="limping"), cache=None, policy=service.policy
+        )
+        assert remote.quarantined
+        assert remote.table.equals(local.table)
+
+    def test_run_study_rejects_an_incomplete_stream(self, client, monkeypatch):
+        real_iter_cells = ServiceClient.iter_cells
+
+        def drop_first_event(self, job_id, since=0, timeout=None):
+            events = real_iter_cells(self, job_id, since, timeout)
+            next(events)
+            yield from events
+
+        monkeypatch.setattr(ServiceClient, "iter_cells", drop_first_event)
+        with pytest.raises(ServiceError, match="incomplete cell stream"):
+            client.run_study(study(seed=35, name="short"), timeout=60)
+
     def test_stream_resumes_with_since(self, client):
         job_id = client.submit(study())["job"]
         client.wait(job_id, timeout=60)
@@ -318,6 +417,28 @@ class TestHTTPSurface:
         thread.join(10)
         assert not thread.is_alive()
         assert not client.healthy()
+
+
+class TestServiceCLI:
+    def test_submit_wait_prints_the_done_snapshot(self, client, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(study().to_json(), encoding="utf-8")
+        assert service_main(["submit", str(path), "--wait", "--url", client.url]) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert snapshot["state"] == "done"
+        assert snapshot["cells_done"] == snapshot["cells_total"] == 2
+
+    def test_fetch_wait_prints_the_table_as_csv(self, client, capsys):
+        job_id = client.submit(study())["job"]
+        assert service_main(["fetch", job_id, "--wait", "--url", client.url]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        local = run_study(study(), cache=None)
+        assert lines[0] == local.table.to_csv().splitlines()[0]
+        assert len(lines) == 1 + local.table.n_rows
+
+    def test_status_of_an_unknown_job_exits_2(self, client, capsys):
+        assert service_main(["status", "job-999", "--url", client.url]) == 2
+        assert "404" in capsys.readouterr().err
 
 
 class TestExperimentsRouting:
