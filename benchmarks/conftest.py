@@ -1,8 +1,10 @@
 """Shared benchmark fixtures.
 
-Every reproduction bench runs its experiment once under pytest-benchmark
-(so regenerating a table *is* the benchmark) and writes the resulting table
-to ``benchmarks/output/<id>.txt`` — the artifacts EXPERIMENTS.md records.
+``bench_experiments.py`` runs every record of
+:data:`repro.experiments.EXPERIMENTS` once under pytest-benchmark (so
+regenerating a table *is* the benchmark), writes the table to
+``benchmarks/output/<id>.txt`` — the artifacts EXPERIMENTS.md records —
+and asserts the record's check, where it has one.
 
 Set ``REPRO_BENCH_PROFILE=quick`` to run the reduced grids (CI smoke);
 the default profile regenerates the full EXPERIMENTS.md numbers.

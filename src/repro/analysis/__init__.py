@@ -10,7 +10,6 @@ from repro.analysis.dynamics import (
     predicted_winner,
     simple_mean_field,
 )
-from repro.analysis.experiments import EXPERIMENTS, ExperimentSpec, get_experiment
 from repro.analysis.scaling import ModelFit, fit_models, klogn_model, linear_model, log_model
 from repro.analysis.stats import (
     bootstrap_mean_interval,
@@ -29,8 +28,6 @@ from repro.analysis.theory import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
-    "ExperimentSpec",
     "LEMMA_2_1_SUCCESS_LOWER_BOUND",
     "LEMMA_4_2_DROPOUT_LOWER_BOUND",
     "ModelFit",
@@ -40,7 +37,6 @@ __all__ = [
     "final_share_chart",
     "fit_models",
     "fit_xi",
-    "get_experiment",
     "klogn_model",
     "lemma_5_4_initial_gap",
     "linear_model",

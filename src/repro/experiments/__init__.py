@@ -1,24 +1,29 @@
 """Executable reproductions of every quantitative claim in the paper.
 
-One module per experiment id (see DESIGN.md §4 and
-:mod:`repro.analysis.experiments`).  Each module exposes::
+Each ``eNN_*`` module declares one :class:`~repro.experiments.common.Experiment`
+record per claim (``e04_optimal_scaling`` declares E4 and E4b): the claim
+and summary EXPERIMENTS.md prints, the study factory registered in
+:data:`repro.api.STUDIES`, the table renderer and, where the claim admits
+one, the table's pass/fail check.  :data:`EXPERIMENTS` maps each id to its
+record; :data:`RUNNERS` is its runner view::
 
-    run(quick: bool = False, base_seed: int = 0, **overrides) -> Table
+    RUNNERS[eid](quick: bool = False, base_seed: int = 0, **overrides) -> Table
 
-returning a ready-to-print :class:`repro.analysis.tables.Table`.  ``quick``
-shrinks grids/trial counts to seconds (used by the test suite); the defaults
-regenerate the EXPERIMENTS.md numbers.  The benchmark harness under
-``benchmarks/`` wraps these runners with pytest-benchmark; the CLI runs any
-subset::
+``quick`` shrinks grids/trial counts to seconds (used by the test suite);
+the defaults regenerate the EXPERIMENTS.md numbers, and overrides go to
+the record's study factory.  ``benchmarks/bench_experiments.py`` times
+every record and writes its table; the CLI runs any subset::
 
     python -m repro.experiments E1 E7 --quick
+
+Adding an experiment means one module that registers its record, plus its
+import line below.
 """
 
 from typing import Callable
 
 from repro.analysis.tables import Table
-
-from repro.experiments import (
+from repro.experiments import (  # noqa: F401  (each module registers its records)
     e01_lower_bound,
     e02_recruitment,
     e03_optimal_dropout,
@@ -34,24 +39,11 @@ from repro.experiments import (
     e13_asynchrony,
     e14_polya,
 )
+from repro.experiments.common import EXPERIMENTS, Experiment
 
-#: Experiment id → runner.  E3a/E3b and E4/E4b share runner modules.
+#: Experiment id → runner, in :data:`EXPERIMENTS` order.
 RUNNERS: dict[str, Callable[..., Table]] = {
-    "E1": e01_lower_bound.run,
-    "E2": e02_recruitment.run,
-    "E3": e03_optimal_dropout.run,
-    "E4": e04_optimal_scaling.run,
-    "E4b": e04_optimal_scaling.run_strict_ablation,
-    "E5": e05_simple_gap.run,
-    "E6": e06_simple_dropout.run,
-    "E7": e07_simple_scaling.run,
-    "E8": e08_comparison.run,
-    "E9": e09_adaptive.run,
-    "E10": e10_nonbinary.run,
-    "E11": e11_noise.run,
-    "E12": e12_faults.run,
-    "E13": e13_asynchrony.run,
-    "E14": e14_polya.run,
+    eid: experiment.run for eid, experiment in EXPERIMENTS.items()
 }
 
-__all__ = ["RUNNERS"]
+__all__ = ["EXPERIMENTS", "Experiment", "RUNNERS"]

@@ -14,8 +14,7 @@ import argparse
 import sys
 import time
 
-from repro.analysis.experiments import EXPERIMENTS
-from repro.experiments import RUNNERS
+from repro.experiments import EXPERIMENTS, RUNNERS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -44,8 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for spec in EXPERIMENTS.values():
-            print(f"{spec.experiment_id:4s} {spec.claim}")
+        for experiment in EXPERIMENTS.values():
+            print(f"{experiment.id:4s} {experiment.claim}")
         return 0
 
     requested = args.ids or list(RUNNERS)

@@ -20,9 +20,9 @@ from __future__ import annotations
 from repro.analysis.scaling import fit_models, linear_model, log_model, sqrt_model
 from repro.analysis.tables import Table
 from repro.analysis.theory import lower_bound_rounds
-from repro.api import STUDIES, Study, Sweep, cases, expr, grid, nests_spec
+from repro.api import Study, StudyResult, Sweep, cases, expr, grid, nests_spec
 from repro.core.lower_bound import IgnorantPolicy
-from repro.experiments.common import execute_study
+from repro.experiments.common import Experiment, every_row_holds, register
 
 
 def study(
@@ -67,16 +67,10 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    k: int = 8,
-    sizes: tuple[int, ...] | None = None,
-    trials: int | None = None,
-) -> Table:
-    """Sweep ``n``; report spread completion rounds vs the theory threshold."""
-    declared = study(quick, base_seed, k, sizes, trials)
-    result = execute_study(declared).table
+def render(outcome: StudyResult) -> Table:
+    """Spread completion rounds per ``n`` vs the theory threshold."""
+    result = outcome.table
+    k = outcome.cells[0].cell.scenario.nests.k
 
     table = Table(
         f"E1  Lower bound (Theorem 3.2): best-case spread time, k={k}",
@@ -125,4 +119,18 @@ def run(
     return table
 
 
-STUDIES.register("E1", study, "Theorem 3.2: best-case spread time vs the log lower bound")
+EXPERIMENT = register(
+    Experiment(
+        id="E1",
+        claim="Theorem 3.2: any algorithm needs Ω(log n) rounds",
+        summary=(
+            "Best-case information spreading (informed ants push at the maximal rate the\n"
+            "model allows) vs the theorem's threshold `(log₄ n)/2 − log₄ 12`.  The\n"
+            "reproduction holds if the log-growth model wins the fit and no measured\n"
+            "completion time beats the threshold."
+        ),
+        study=study,
+        render=render,
+        check=every_row_holds,
+    )
+)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from repro.analysis.stats import wilson_interval
 from repro.analysis.tables import Table
 from repro.analysis.theory import LEMMA_2_1_SUCCESS_LOWER_BOUND
-from repro.api import STUDIES, Study, Sweep, expr, grid, nests_spec, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, expr, grid, nests_spec, ref
+from repro.experiments.common import Experiment, every_row_holds, register
 
 
 def study(
@@ -53,15 +53,9 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    sizes: tuple[int, ...] | None = None,
-    fractions: tuple[float, ...] = (0.1, 0.5, 1.0),
-    trials: int | None = None,
-) -> Table:
-    """Grid over (home population, recruiting fraction); check the 1/16 bound."""
-    result = execute_study(study(quick, base_seed, sizes, fractions, trials)).table
+def render(outcome: StudyResult) -> Table:
+    """Per (home population, recruiting fraction) cell: the 1/16 bound."""
+    result = outcome.table
 
     table = Table(
         "E2  Recruitment success (Lemma 2.1): tagged recruiter, bound 1/16",
@@ -95,4 +89,16 @@ def run(
     return table
 
 
-STUDIES.register("E2", study, "Lemma 2.1: tagged-recruiter success grid (>= 1/16)")
+EXPERIMENT = register(
+    Experiment(
+        id="E2",
+        claim="Lemma 2.1: a recruiter succeeds with probability ≥ 1/16",
+        summary=(
+            "Tagged-recruiter success over a (home population × active fraction) grid;\n"
+            "the Wilson 95% lower bound must clear 1/16 in every cell."
+        ),
+        study=study,
+        render=render,
+        check=every_row_holds,
+    )
+)

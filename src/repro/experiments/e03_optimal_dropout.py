@@ -5,9 +5,9 @@ consecutive pair of cohort-measurement rounds (the B2 sub-rounds, where
 exactly the active cohorts stand at their nests), the per-nest change ``Y``
 while at least two nests compete:
 
-- **E3a (Lemma 4.1, symmetry):** ``P[Y<0]`` should equal ``P[Y>0]`` up to
+- **Lemma 4.1 (symmetry):** ``P[Y<0]`` should equal ``P[Y>0]`` up to
   sampling error.
-- **E3b (Lemma 4.2, drop-out rate):** ``P[Y<0] ≥ 1/66`` per block (a
+- **Lemma 4.2 (drop-out rate):** ``P[Y<0] ≥ 1/66`` per block (a
   decrease makes the whole cohort abandon the nest), so the surviving-nest
   count decays at least as fast as Theorem 4.3's 65/66-per-block bound.
 
@@ -22,8 +22,8 @@ import numpy as np
 from repro.analysis.stats import wilson_interval
 from repro.analysis.tables import Table
 from repro.analysis.theory import LEMMA_4_2_DROPOUT_LOWER_BOUND
-from repro.api import STUDIES, Study, Sweep, cases, expr, nests_spec, register_metric, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, expr, nests_spec, register_metric, ref
+from repro.experiments.common import Experiment, every_row_holds, register
 
 
 def competition_changes(history: np.ndarray) -> list[int]:
@@ -96,14 +96,9 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    configs: tuple[tuple[int, int], ...] | None = None,
-    trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """Aggregate Y statistics across (n, k) configurations."""
-    result = execute_study(study(quick, base_seed, configs, trials)).table
+    result = outcome.table
 
     table = Table(
         "E3  Competition blocks (Lemmas 4.1/4.2): cohort change Y per block",
@@ -143,4 +138,16 @@ def run(
     return table
 
 
-STUDIES.register("E3", study, "Lemmas 4.1/4.2: competition-block change statistics")
+EXPERIMENT = register(
+    Experiment(
+        id="E3",
+        claim="Lemmas 4.1/4.2: competition-block population changes",
+        summary=(
+            "Per-block cohort change `Y` while ≥ 2 nests compete: `P[Y<0] ≈ P[Y>0]`\n"
+            "(symmetry) and `P[Y<0] ≥ 1/66` (drop-out rate)."
+        ),
+        study=study,
+        render=render,
+        check=every_row_holds,
+    )
+)

@@ -9,7 +9,7 @@ Two sweep segments in one Study (the fast engine throughout):
 
 Success rates should sit at 1 within the sweep (the theorem's 1 − 1/n^c).
 
-``run_strict_ablation`` (E4b) compares the clarified case-3 ``count``
+The module's second record, E4b, compares the clarified case-3 ``count``
 update against the literal pseudocode (DESIGN.md §3.2) — the ablation that
 justifies our reading.
 """
@@ -19,8 +19,8 @@ from __future__ import annotations
 from repro.analysis.scaling import fit_models, linear_model, log_model, sqrt_model
 from repro.analysis.tables import Table
 from repro.analysis.theory import optimal_k_bound
-from repro.api import STUDIES, Study, Sweep, cases, nests_spec, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, nests_spec, ref
+from repro.experiments.common import Experiment, register, success_is_one
 
 
 def study(
@@ -64,19 +64,9 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    k_fixed: int = 4,
-    n_fixed: int | None = None,
-    sizes: tuple[int, ...] | None = None,
-    k_values: tuple[int, ...] | None = None,
-    trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """n-sweep and k-sweep of Algorithm 2 with growth-model fits."""
-    result = execute_study(
-        study(quick, base_seed, k_fixed, n_fixed, sizes, k_values, trials)
-    ).table
+    result = outcome.table
 
     table = Table(
         "E4  Algorithm 2 scaling (Theorem 4.3): rounds to all-final",
@@ -160,16 +150,9 @@ def study_strict_ablation(
     )
 
 
-def run_strict_ablation(
-    quick: bool = False,
-    base_seed: int = 0,
-    configs: tuple[tuple[int, int], ...] | None = None,
-    trials: int | None = None,
-) -> Table:
+def render_strict_ablation(outcome: StudyResult) -> Table:
     """E4b: literal pseudocode vs the clarified case-3 count update."""
-    result = execute_study(
-        study_strict_ablation(quick, base_seed, configs, trials)
-    ).table
+    result = outcome.table
 
     table = Table(
         "E4b  OptimalAnt case-3 count update ablation (DESIGN.md §3.2)",
@@ -199,7 +182,29 @@ def run_strict_ablation(
     return table
 
 
-STUDIES.register("E4", study, "Theorem 4.3: Algorithm 2 scaling (n- and k-sweeps)")
-STUDIES.register(
-    "E4b", study_strict_ablation, "Algorithm 2 strict-pseudocode ablation"
+EXPERIMENT = register(
+    Experiment(
+        id="E4",
+        claim="Theorem 4.3: Algorithm 2 solves HouseHunting in O(log n)",
+        summary=(
+            "n-sweep and k-sweep medians with growth-model fits; success must be 1\n"
+            "throughout the swept region."
+        ),
+        study=study,
+        render=render,
+        check=success_is_one,
+    )
+)
+
+STRICT_ABLATION = register(
+    Experiment(
+        id="E4b",
+        claim="strict vs clarified case-3 count update (DESIGN.md §3.2)",
+        summary=(
+            "The ablation justifying our pseudocode reading: the literal (\"strict\")\n"
+            "update mostly fails to settle, the clarified one matches the theorem."
+        ),
+        study=study_strict_ablation,
+        render=render_strict_ablation,
+    )
 )

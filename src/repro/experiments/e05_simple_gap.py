@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.analysis.theory import lemma_5_4_initial_gap
-from repro.api import STUDIES, Study, Sweep, cases, expr, nests_spec, register_metric, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, expr, nests_spec, register_metric, ref
+from repro.experiments.common import Experiment, every_row_holds, register
 
 
 def _gap_metric(reports, stats) -> dict[str, float]:
@@ -75,14 +75,9 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    configs: tuple[tuple[int, int], ...] | None = None,
-    trials: int | None = None,
-) -> Table:
-    """Estimate E[ε(i,j,1)] across (n, k) and compare to 1/(3(n−1))."""
-    result = execute_study(study(quick, base_seed, configs, trials)).table
+def render(outcome: StudyResult) -> Table:
+    """E[ε(i,j,1)] across (n, k) against 1/(3(n−1))."""
+    result = outcome.table
 
     table = Table(
         "E5  Initial search gap (Lemma 5.4): E[eps(i,j,1)] vs 1/(3(n-1))",
@@ -121,4 +116,16 @@ def run(
     return table
 
 
-STUDIES.register("E5", study, "Lemma 5.4: multinomial initial-gap sampling")
+EXPERIMENT = register(
+    Experiment(
+        id="E5",
+        claim="Lemma 5.4: E[ε(i,j,1)] ≥ 1/(3(n−1))",
+        summary=(
+            "Relative population gap of a fixed nest pair after the multinomial search\n"
+            "round, vs the lemma's bound."
+        ),
+        study=study,
+        render=render,
+        check=every_row_holds,
+    )
+)

@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.analysis.theory import SECTION_5_D, simple_dropout_horizon, small_nest_threshold
-from repro.api import STUDIES, Study, Sweep, cases, expr, nests_spec, register_metric, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, expr, nests_spec, register_metric, ref
+from repro.experiments.common import Experiment, every_row_holds, register
 
 
 def dropout_times(history: np.ndarray, threshold: float) -> tuple[list[int], int]:
@@ -101,14 +101,9 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    configs: tuple[tuple[int, int], ...] | None = None,
-    trials: int | None = None,
-) -> Table:
-    """Measure sub-threshold nest lifetimes across (n, k)."""
-    result = execute_study(study(quick, base_seed, configs, trials)).table
+def render(outcome: StudyResult) -> Table:
+    """Sub-threshold nest lifetimes across (n, k)."""
+    result = outcome.table
 
     table = Table(
         "E6  Small-nest extinction (Lemmas 5.8/5.9): threshold n/(64k)",
@@ -147,4 +142,16 @@ def run(
     return table
 
 
-STUDIES.register("E6", study, "Lemmas 5.8/5.9: small-nest extinction lifetimes")
+EXPERIMENT = register(
+    Experiment(
+        id="E6",
+        claim="Lemmas 5.8/5.9: small nests stay small and empty out",
+        summary=(
+            "Nests falling below `n/(64k)`: resurfacing count (should be ~0) and rounds\n"
+            "to extinction vs the (deliberately loose) theory horizon."
+        ),
+        study=study,
+        render=render,
+        check=every_row_holds,
+    )
+)

@@ -22,8 +22,8 @@ from repro.analysis.scaling import (
 )
 from repro.analysis.tables import Table
 from repro.analysis.theory import simple_k_bound
-from repro.api import STUDIES, Study, Sweep, cases, nests_spec, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, nests_spec, ref
+from repro.experiments.common import Experiment, register, success_is_one
 
 
 def study(
@@ -67,19 +67,9 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    k_fixed: int = 4,
-    n_fixed: int | None = None,
-    sizes: tuple[int, ...] | None = None,
-    k_values: tuple[int, ...] | None = None,
-    trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """n-sweep, k-sweep, and a joint k·log n fit for Algorithm 3."""
-    result = execute_study(
-        study(quick, base_seed, k_fixed, n_fixed, sizes, k_values, trials)
-    ).table
+    result = outcome.table
 
     table = Table(
         "E7  Algorithm 3 scaling (Theorem 5.11): rounds to unanimity",
@@ -126,4 +116,16 @@ def run(
     return table
 
 
-STUDIES.register("E7", study, "Theorem 5.11: Algorithm 3 scaling (n- and k-sweeps)")
+EXPERIMENT = register(
+    Experiment(
+        id="E7",
+        claim="Theorem 5.11: Algorithm 3 solves HouseHunting in O(k log n)",
+        summary=(
+            "n-sweep, k-sweep, and the joint `a + b·k·log n` fit; the k-sweep must be\n"
+            "decisively linear (the O(k) factor separating Algorithm 3 from 2)."
+        ),
+        study=study,
+        render=render,
+        check=success_is_one,
+    )
+)

@@ -20,8 +20,8 @@ its historical seed, trial count, engine and round cap.
 from __future__ import annotations
 
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, cases, grid
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases
+from repro.experiments.common import Experiment, register
 
 
 def study(
@@ -122,23 +122,15 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    k_values: tuple[int, ...] | None = None,
-    trials: int | None = None,
-    agent_trials: int | None = None,
-    uniform_max_rounds: int | None = None,
-) -> Table:
-    """Compare all strategies at fixed n across k."""
-    if n is None:
-        n = 128 if quick else 512
-    if uniform_max_rounds is None:
-        uniform_max_rounds = 4_000 if quick else 8_000
-    result = execute_study(
-        study(quick, base_seed, n, k_values, trials, agent_trials, uniform_max_rounds)
-    ).table
+def render(outcome: StudyResult) -> Table:
+    """All strategies at fixed n across k."""
+    result = outcome.table
+    n = outcome.cells[0].cell.scenario.n
+    uniform_max_rounds = next(
+        cell_result.cell.scenario.max_rounds
+        for cell_result in outcome.cells
+        if cell_result.cell.scenario.algorithm == "uniform"
+    )
 
     table = Table(
         f"E8  Strategy comparison at n={n}: median rounds and success",
@@ -165,4 +157,16 @@ def run(
     return table
 
 
-STUDIES.register("E8", study, "Strategy comparison: Optimal/Simple/Quorum/Uniform/gossip")
+EXPERIMENT = register(
+    Experiment(
+        id="E8",
+        claim="head-to-head: Optimal vs Simple vs quorum vs the ablation",
+        summary=(
+            "The implicit comparison on a common grid, with push gossip as the\n"
+            "information-theoretic floor.  Uniform's failures are timeouts:\n"
+            "population-proportional feedback is what makes Algorithm 3 fast."
+        ),
+        study=study,
+        render=render,
+    )
+)

@@ -16,8 +16,8 @@ per-variant cases keeping their historical seeds and engines.
 from __future__ import annotations
 
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, cases, nests_spec, ref
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, nests_spec, ref
+from repro.experiments.common import Experiment, register
 
 
 def study(
@@ -106,20 +106,11 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    k_values: tuple[int, ...] | None = None,
-    trials: int | None = None,
-    agent_trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """Adaptive-rate comparison across k at fixed n."""
-    if n is None:
-        n = 256 if quick else 2048
-    result = execute_study(
-        study(quick, base_seed, n, k_values, trials, agent_trials)
-    ).table
+    result = outcome.table
+    # The agent-engine rows may run a smaller colony; the title names n.
+    n = max(cell_result.cell.scenario.n for cell_result in outcome.cells)
 
     table = Table(
         f"E9  Adaptive recruitment rates at n={n}",
@@ -145,4 +136,15 @@ def run(
     return table
 
 
-STUDIES.register("E9", study, "Section 6: adaptive recruitment-rate variants across k")
+EXPERIMENT = register(
+    Experiment(
+        id="E9",
+        claim="Section 6: adaptive recruitment rates",
+        summary=(
+            "Plain Algorithm 3 vs the k̃(r) schedule vs power-law feedback vs\n"
+            "approximate-n robustness."
+        ),
+        study=study,
+        render=render,
+    )
+)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from repro.analysis.stats import wilson_interval
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, expr, grid, nests_spec, ref, register_metric
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, expr, grid, nests_spec, ref, register_metric
+from repro.experiments.common import Experiment, register
 
 
 def _outcomes_metric(reports, stats) -> dict[str, float]:
@@ -84,18 +84,10 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    gaps: tuple[float, ...] | None = None,
-    weights: tuple[float, ...] | None = None,
-    trials: int | None = None,
-) -> Table:
-    """Sweep quality gap × quality weight; report accuracy and speed."""
-    if n is None:
-        n = 128 if quick else 256
-    result = execute_study(study(quick, base_seed, n, gaps, weights, trials)).table
+def render(outcome: StudyResult) -> Table:
+    """Accuracy and speed per (quality gap, quality weight)."""
+    result = outcome.table
+    n = outcome.cells[0].cell.scenario.n
 
     table = Table(
         f"E10  Non-binary qualities at n={n}, k=2: does the better nest win?",
@@ -130,4 +122,15 @@ def run(
     return table
 
 
-STUDIES.register("E10", study, "Section 6: quality-weighted accuracy/speed frontier")
+EXPERIMENT = register(
+    Experiment(
+        id="E10",
+        claim="Section 6: non-binary qualities",
+        summary=(
+            "Quality-weighted recruitment: P(best nest wins) and rounds across the\n"
+            "(gap × weight) grid — the Pratt–Sumpter speed/accuracy dial."
+        ),
+        study=study,
+        render=render,
+    )
+)

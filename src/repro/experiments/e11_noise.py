@@ -20,8 +20,8 @@ measures exactly that curve.
 from __future__ import annotations
 
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, cases, nests_spec
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, nests_spec
+from repro.experiments.common import Experiment, register
 
 
 def study(
@@ -32,13 +32,8 @@ def study(
     sigmas: tuple[float, ...] | None = None,
     encounter_trials: tuple[int, ...] | None = None,
     trials: int | None = None,
-    agent_trials: int | None = None,
 ) -> Study:
-    """The E11 sweep: Gaussian σ rows + encounter-budget rows, both batched.
-
-    ``agent_trials`` (historically the reduced trial count of the
-    agent-engine encounter rows) now defaults to the full ``trials``.
-    """
+    """The E11 sweep: Gaussian σ rows + encounter-budget rows, both batched."""
     if n is None:
         n = 256 if quick else 1024
     if sigmas is None:
@@ -47,8 +42,6 @@ def study(
         encounter_trials = (16,) if quick else (8, 32, 128)
     if trials is None:
         trials = 10 if quick else 40
-    if agent_trials is None:
-        agent_trials = trials
 
     rows = [
         {
@@ -67,7 +60,7 @@ def study(
             "n": n,
             "seed": base_seed + budget,
             "noise": {"kind": "encounter", "trials": budget, "capacity": 2 * n},
-            "trials": agent_trials,
+            "trials": trials,
         }
         for budget in encounter_trials
     ]
@@ -92,22 +85,11 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    k: int = 4,
-    sigmas: tuple[float, ...] | None = None,
-    encounter_trials: tuple[int, ...] | None = None,
-    trials: int | None = None,
-    agent_trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """Noise sweep: Gaussian and encounter-rate, both on the batch engine."""
-    if n is None:
-        n = 256 if quick else 1024
-    result = execute_study(
-        study(quick, base_seed, n, k, sigmas, encounter_trials, trials, agent_trials)
-    ).table
+    result = outcome.table
+    scenario = outcome.cells[0].cell.scenario
+    n, k = scenario.n, scenario.nests.k
 
     table = Table(
         f"E11  Noisy counting at n={n}, k={k} (Algorithm 3)",
@@ -127,4 +109,16 @@ def run(
     return table
 
 
-STUDIES.register("E11", study, "Section 6: noisy-counting tolerance (Gaussian + encounter)")
+EXPERIMENT = register(
+    Experiment(
+        id="E11",
+        claim="Section 6: noisy counting",
+        summary=(
+            "Gaussian and mechanistic encounter-rate noise sweeps (both on the batch\n"
+            "engine since the vectorized perturbation layers): unbiased noise keeps\n"
+            "success at 1 and costs rounds monotonically."
+        ),
+        study=study,
+        render=render,
+    )
+)

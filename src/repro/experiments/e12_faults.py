@@ -20,8 +20,8 @@ models as data.
 from __future__ import annotations
 
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, cases, nests_spec
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, nests_spec
+from repro.experiments.common import Experiment, register
 from repro.sim.faults import CrashMode
 
 
@@ -111,21 +111,11 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    k: int = 4,
-    crash_fractions: tuple[float, ...] | None = None,
-    byzantine_fractions: tuple[float, ...] | None = None,
-    trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """Fault sweeps for Algorithm 3 (healthy-colony convergence)."""
-    if n is None:
-        n = 128 if quick else 256
-    result = execute_study(
-        study(quick, base_seed, n, k, crash_fractions, byzantine_fractions, trials)
-    ).table
+    result = outcome.table
+    scenario = outcome.cells[0].cell.scenario
+    n, k = scenario.n, scenario.nests.k
 
     table = Table(
         f"E12  Fault tolerance at n={n}, k={k} (Algorithm 3, healthy ants)",
@@ -157,4 +147,16 @@ def run(
     return table
 
 
-STUDIES.register("E12", study, "Section 6: crash/Byzantine/asynchrony fault sweeps")
+EXPERIMENT = register(
+    Experiment(
+        id="E12",
+        claim="Section 6: fault tolerance",
+        summary=(
+            "Crash zombies (both modes), Byzantine recruiters, and the Byzantine ×\n"
+            "asynchrony cliff: ~1% persistent adversaries capture a delayed colony —\n"
+            "the sharpened form of the paper's conjecture."
+        ),
+        study=study,
+        render=render,
+    )
+)

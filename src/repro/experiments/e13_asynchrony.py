@@ -15,8 +15,8 @@ delay-model field (``None`` for the synchronous baseline row).
 from __future__ import annotations
 
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, expr, nests_spec, zipped
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, expr, nests_spec, zipped
+from repro.experiments.common import Experiment, register
 
 
 def study(
@@ -60,18 +60,11 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    k: int = 4,
-    delays: tuple[float, ...] | None = None,
-    trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """Delay-probability sweep for Algorithm 3."""
-    if n is None:
-        n = 128 if quick else 256
-    result = execute_study(study(quick, base_seed, n, k, delays, trials)).table
+    result = outcome.table
+    scenario = outcome.cells[0].cell.scenario
+    n, k = scenario.n, scenario.nests.k
 
     table = Table(
         f"E13  Partial asynchrony at n={n}, k={k} (Algorithm 3)",
@@ -93,4 +86,12 @@ def run(
     return table
 
 
-STUDIES.register("E13", study, "Section 6: partial-asynchrony slowdown curve")
+EXPERIMENT = register(
+    Experiment(
+        id="E13",
+        claim="Section 6: partial asynchrony",
+        summary="Per-ant stall-probability sweep: success stays at 1, rounds grow smoothly.",
+        study=study,
+        render=render,
+    )
+)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.tables import Table
-from repro.api import STUDIES, Study, Sweep, cases, nests_spec, register_metric
-from repro.experiments.common import execute_study
+from repro.api import Study, StudyResult, Sweep, cases, nests_spec, register_metric
+from repro.experiments.common import Experiment, register
 
 #: Initial-share bins for nest 1 (the paper's dominance-curve abscissa).
 SHARE_BINS = ((0.50, 0.52), (0.52, 0.55), (0.55, 0.60), (0.60, 0.75))
@@ -125,17 +125,10 @@ def study(
     )
 
 
-def run(
-    quick: bool = False,
-    base_seed: int = 0,
-    n: int | None = None,
-    trials: int | None = None,
-    urn_trials: int | None = None,
-) -> Table:
+def render(outcome: StudyResult) -> Table:
     """Dominance curve: colony vs urn, binned by initial share."""
-    if n is None:
-        n = 128 if quick else 512
-    result = execute_study(study(quick, base_seed, n, trials, urn_trials)).table
+    result = outcome.table
+    n = outcome.cells[0].cell.scenario.n
 
     table = Table(
         f"E14  Polya-urn analogy at n={n}, k=2: P(initially larger nest wins)",
@@ -168,4 +161,15 @@ def run(
     return table
 
 
-STUDIES.register("E14", study, "Section 5: colony-vs-Polya-urn dominance curves")
+EXPERIMENT = register(
+    Experiment(
+        id="E14",
+        claim="Section 5's analogy: Algorithm 3 as a Pólya urn",
+        summary=(
+            "Dominance curves binned by initial share: the colony tracks the\n"
+            "superlinear (γ=2) urn, not the classical γ=1 urn."
+        ),
+        study=study,
+        render=render,
+    )
+)

@@ -184,11 +184,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         while True:
             events, terminal = job.wait_events(since, STREAM_POLL_SECONDS)
-            for event in events:
-                line = json.dumps(event) + "\n"
-                self.wfile.write(line.encode("utf-8"))
-            if events:
-                self.wfile.flush()
+            try:
+                for event in events:
+                    line = json.dumps(event) + "\n"
+                    self.wfile.write(line.encode("utf-8"))
+                if events:
+                    self.wfile.flush()
+            except (BrokenPipeError, ConnectionResetError):
+                return  # the client left the stream; the job runs on
             since += len(events)
             if terminal and not job.events[since:]:
                 return

@@ -3,6 +3,7 @@ benchmark regression checker."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,40 +26,47 @@ class TestDocumentationArtifacts:
         assert "run_trial(simple_factory()" in text
         assert "NestConfig.binary" in text
 
-    def test_template_markers_match_registry(self):
-        from repro.analysis.experiments import EXPERIMENTS
+    def test_design_md_engines_match_resolution(self):
+        """§4 names, per experiment, the engines its quick cells resolve
+        to and the algorithms each one runs."""
+        from repro.api.runner import resolve_backend
+        from repro.api.sweep import expand_study
+        from repro.experiments import EXPERIMENTS
 
-        template = (ROOT / "tools" / "EXPERIMENTS.template.md").read_text(
-            encoding="utf-8"
-        )
-        # Every registered experiment id appears in the template (E3a/E3b
-        # share the E3 table).
-        base_ids = {eid.rstrip("ab") if eid != "E4b" else "E4b" for eid in EXPERIMENTS}
-        for eid in base_ids:
-            assert f"TABLE:{eid}" in template or eid in ("E3a", "E3b"), eid
-
-
-class TestBuildTool:
-    def test_build_inlines_available_tables(self, tmp_path):
-        process = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "build_experiments_md.py")],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert process.returncode == 0, process.stderr
-        output = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-        assert "paper vs. measured" in output
-        # At least some tables must be inlined as fenced blocks.
-        assert output.count("```text") >= 5
+        text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| (E\w+) \| (.+) \|$", text, re.MULTILINE))
+        assert list(rows) == list(EXPERIMENTS)
+        for eid, experiment in EXPERIMENTS.items():
+            resolved: dict[str, set[str]] = {}
+            for cell in expand_study(experiment.study(quick=True)):
+                engine = resolve_backend(cell.scenario, cell.backend)
+                resolved.setdefault(engine, set()).add(cell.scenario.algorithm)
+            stated = {
+                engine: set(re.findall(r"`(\w+)`", names))
+                for engine, names in re.findall(r"(fast|agent) \(([^)]*)\)", rows[eid])
+            }
+            assert stated == resolved, eid
 
 
-def _load_checker():
-    path = ROOT / "tools" / "check_bench_regression.py"
-    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+def _load_tool(name: str):
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestBuildTool:
+    def test_build_matches_committed_experiments_md(self):
+        """The records and the committed tables rebuild EXPERIMENTS.md
+        byte for byte (checked in memory; nothing is written)."""
+        tool = _load_tool("build_experiments_md")
+        committed = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        assert tool.build() == committed
+
+
+def _load_checker():
+    return _load_tool("check_bench_regression")
 
 
 class TestBenchRegressionChecker:

@@ -1,50 +1,43 @@
-"""Tests tying the experiment registry, runners, and bench files together."""
-
-from pathlib import Path
+"""The experiment records: one per reproduced claim, viewed by every registry."""
 
 import pytest
 
-from repro.analysis.experiments import EXPERIMENTS, all_bench_files, get_experiment
-from repro.experiments import RUNNERS
+from repro.api import STUDIES
+from repro.exceptions import ConfigurationError
+from repro.experiments import EXPERIMENTS, RUNNERS
+from repro.experiments.common import register
 
-BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 
-
-class TestRegistry:
-    def test_all_paper_claims_covered(self):
-        # One experiment per quantitative claim of the paper (DESIGN.md §4).
-        expected = {
-            "E1", "E2", "E3a", "E3b", "E4", "E4b", "E5", "E6", "E7", "E8",
+class TestExperiments:
+    def test_one_record_per_claim(self):
+        # One experiment per quantitative claim of the paper (DESIGN.md §4),
+        # plus the E4b ablation behind our pseudocode reading.
+        assert list(EXPERIMENTS) == [
+            "E1", "E2", "E3", "E4", "E4b", "E5", "E6", "E7", "E8",
             "E9", "E10", "E11", "E12", "E13", "E14",
-        }
-        assert set(EXPERIMENTS) == expected
+        ]
 
-    def test_get_experiment(self):
-        spec = get_experiment("E7")
-        assert "5.11" in spec.claim
-        assert spec.bench_file == "bench_simple_scaling.py"
-        with pytest.raises(KeyError):
-            get_experiment("E99")
+    def test_records_are_complete(self):
+        for eid, experiment in EXPERIMENTS.items():
+            assert experiment.id == eid
+            assert experiment.claim and experiment.summary
+            assert callable(experiment.study) and callable(experiment.render)
 
-    def test_every_bench_file_exists(self):
-        for bench_file in all_bench_files():
-            assert (BENCH_DIR / bench_file).is_file(), bench_file
+    def test_checked_claims(self):
+        # The claims whose table carries its own pass/fail column.
+        checked = [eid for eid, e in EXPERIMENTS.items() if e.check is not None]
+        assert checked == ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
 
-    def test_specs_are_complete(self):
-        for spec in EXPERIMENTS.values():
-            assert spec.claim
-            assert spec.measures
-            assert spec.bench_file.endswith(".py")
+    def test_runners_and_studies_are_views(self):
+        assert list(RUNNERS) == list(EXPERIMENTS)
+        for eid, experiment in EXPERIMENTS.items():
+            assert RUNNERS[eid] == experiment.run
+            entry = STUDIES.get(eid)
+            assert entry.factory is experiment.study
+            assert entry.description == experiment.claim
+            assert STUDIES.build(eid, quick=True, base_seed=0).name == eid
 
-
-class TestRunnersMap:
-    def test_runner_ids_match_registry(self):
-        # E3a/E3b share the E3 runner; E4/E4b both present.
-        registry_bases = {eid.rstrip("ab") or eid for eid in EXPERIMENTS}
-        runner_bases = {eid.rstrip("b") if eid != "E4b" else "E4" for eid in RUNNERS}
-        assert {"E1", "E2", "E3", "E4", "E5", "E6", "E7"} <= runner_bases
-        assert registry_bases <= {f"E{i}" for i in range(1, 15)}
-
-    def test_all_runners_callable(self):
-        for runner in RUNNERS.values():
-            assert callable(runner)
+    def test_an_id_registers_once(self):
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register(EXPERIMENTS["E1"])
+        assert list(EXPERIMENTS).count("E1") == 1

@@ -54,11 +54,15 @@ class TestPublicSurface:
         assert main(["--n", "48", "--k", "3", "--seed", "1"]) == 0
 
     def test_experiments_cli_list(self, capsys):
+        """``--list`` prints exactly the ids the CLI runs, with their claims."""
+        import repro.experiments as experiments
         from repro.experiments.__main__ import main
 
         assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "E1" in out and "E14" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(experiments.RUNNERS)
+        for line, experiment in zip(lines, experiments.EXPERIMENTS.values()):
+            assert line.endswith(experiment.claim)
 
     def test_experiments_cli_rejects_unknown(self):
         from repro.experiments.__main__ import main

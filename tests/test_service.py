@@ -48,11 +48,23 @@ def service(tmp_path):
         yield svc
 
 
+#: The test servers' serve-loop poll interval: ``shutdown()`` waits up to
+#: one interval, and the default 0.5 s made every teardown take that long.
+POLL_SECONDS = 0.01
+
+
+def start_server(service):
+    server = serve(service, port=0)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(POLL_SECONDS,), daemon=True
+    )
+    thread.start()
+    return server, thread
+
+
 @pytest.fixture
 def client(service):
-    server = serve(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, _ = start_server(service)
     try:
         yield ServiceClient(server.url)
     finally:
@@ -361,6 +373,38 @@ class TestHTTPSurface:
         with pytest.raises(ServiceError, match="incomplete cell stream"):
             client.run_study(study(seed=35, name="short"), timeout=60)
 
+    def test_leaving_a_stream_early_is_not_an_error(self, service, monkeypatch):
+        """A client that closes its cell stream mid-job makes the daemon's
+        next write fail; the handler ends quietly instead of reaching the
+        server's ``handle_error``, which prints a traceback."""
+        gate = threading.Event()
+        real_run_batch = scheduler_module.run_batch
+        calls = []
+
+        def later_cells_wait(scenarios, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                gate.wait(30)
+            return real_run_batch(scenarios, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "run_batch", later_cells_wait)
+        server, _ = start_server(service)
+        errors = []
+        server.handle_error = lambda request, address: errors.append(address)
+        try:
+            client = ServiceClient(server.url)
+            job_id = client.submit(study(seed=58, ns=(16, 24, 32, 40), name="left"))["job"]
+            url = f"{server.url}/jobs/{job_id}/cells"
+            with urllib.request.urlopen(url, timeout=30) as stream:
+                assert json.loads(stream.readline())["cell"] == 0
+            gate.set()
+            assert client.wait(job_id, timeout=60)["state"] == "done"
+        finally:
+            gate.set()
+            server.shutdown()
+            server.server_close()  # joins every handler thread, the stream's too
+        assert errors == []
+
     def test_stream_resumes_with_since(self, client):
         job_id = client.submit(study())["job"]
         client.wait(job_id, timeout=60)
@@ -408,9 +452,7 @@ class TestHTTPSurface:
     def test_shutdown_endpoint(self, tmp_path):
         cache = ResultCache(tmp_path / "c", store=SQLiteStore(tmp_path / "c"))
         service = StudyService(cache=cache, workers=1, executors=1)
-        server = serve(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server, thread = start_server(service)
         client = ServiceClient(server.url)
         assert client.healthy()
         assert client.shutdown()["ok"] is True

@@ -1,42 +1,52 @@
-"""Inline the benchmark output tables into EXPERIMENTS.md.
+"""Write EXPERIMENTS.md from the experiment records and the bench tables.
 
-EXPERIMENTS.md is authored as ``tools/EXPERIMENTS.template.md`` with
-``<!--TABLE:Eid-->`` markers; this script replaces each marker with the
-corresponding ``benchmarks/output/<id>.txt`` table (fenced) and writes the
-final EXPERIMENTS.md.  Run after ``pytest benchmarks/ --benchmark-only``:
+EXPERIMENTS.md is the preamble in ``tools/EXPERIMENTS.template.md``
+followed by one section per :data:`repro.experiments.EXPERIMENTS` record:
+its id and ``claim`` as the heading, its ``summary``, and its table from
+``benchmarks/output/<id>.txt``, fenced.  Run after the benches wrote the
+tables:
 
+    pytest benchmarks/bench_experiments.py --benchmark-only
     python tools/build_experiments_md.py
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 TEMPLATE = ROOT / "tools" / "EXPERIMENTS.template.md"
 OUTPUT_DIR = ROOT / "benchmarks" / "output"
 TARGET = ROOT / "EXPERIMENTS.md"
 
-MARKER = re.compile(r"<!--TABLE:([A-Za-z0-9]+)-->")
 
-
-def substitute(match: re.Match) -> str:
-    experiment_id = match.group(1)
+def table_block(experiment_id: str) -> str:
     path = OUTPUT_DIR / f"{experiment_id}.txt"
     if not path.is_file():
         return f"*(table {experiment_id} not yet generated — run the benches)*"
     return "```text\n" + path.read_text(encoding="utf-8").rstrip() + "\n```"
 
 
-def main() -> int:
-    if not TEMPLATE.is_file():
-        print(f"missing template: {TEMPLATE}", file=sys.stderr)
-        return 1
+def build() -> str:
+    """EXPERIMENTS.md's text: the preamble, then one section per record."""
+    from repro.experiments import EXPERIMENTS
+
     text = TEMPLATE.read_text(encoding="utf-8")
-    TARGET.write_text(MARKER.sub(substitute, text), encoding="utf-8")
-    missing = [m for m in MARKER.findall(text) if not (OUTPUT_DIR / f"{m}.txt").is_file()]
+    for experiment in EXPERIMENTS.values():
+        text += (
+            f"\n## {experiment.id} — {experiment.claim}\n\n"
+            f"{experiment.summary}\n\n{table_block(experiment.id)}\n"
+        )
+    return text
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.experiments import EXPERIMENTS
+
+    TARGET.write_text(build(), encoding="utf-8")
+    missing = [eid for eid in EXPERIMENTS if not (OUTPUT_DIR / f"{eid}.txt").is_file()]
     if missing:
         print(f"WARNING: missing tables for {', '.join(missing)}", file=sys.stderr)
     print(f"wrote {TARGET}")
